@@ -127,10 +127,10 @@ func (d *Leash) Verdict(k *kernel.Kernel, core *cpu.Core, proc *kernel.Process, 
 
 // SIMF is the single-instruction multi-flush defense
 // (sim/kernel/leash.go): every fault the protected process takes scrubs
-// cache, TLB, page-walk cache, predictor and replay memo before the
-// untrusted handler runs. Prevention via cold structures; page-fault
-// probes read nothing, though handles that never fault (TSX aborts,
-// mispredicts) bypass it entirely.
+// cache, TLB, page-walk cache and predictor before the untrusted
+// handler runs. Prevention via cold structures; page-fault probes read
+// nothing, though handles that never fault (TSX aborts, mispredicts)
+// bypass it entirely.
 type SIMF struct{}
 
 func (SIMF) Name() string                                    { return "simf" }

@@ -132,7 +132,15 @@ type fig10Rig struct {
 
 // buildFig10Rig boots a platform and installs the victim and monitor —
 // the checkpointable prefix of a Fig. 10 side (no recipe, no cycles).
+// Every Fig. 10 entry point builds its sides here, so this is where the
+// monitor parameters are checked.
 func buildFig10Rig(coreCfg cpu.Config, cfg Fig10Config, secret bool) (*fig10Rig, error) {
+	switch {
+	case cfg.Samples <= 0:
+		return nil, fmt.Errorf("experiments: fig10 needs Samples > 0, got %d", cfg.Samples)
+	case cfg.Cont <= 0:
+		return nil, fmt.Errorf("experiments: fig10 needs Cont > 0, got %d", cfg.Cont)
+	}
 	rig, err := NewRig(coreCfg)
 	if err != nil {
 		return nil, err

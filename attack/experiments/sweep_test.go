@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"reflect"
+	"strings"
 	"testing"
 
 	"microscope/crypto/taes"
@@ -125,5 +126,25 @@ func TestFig10SweepShape(t *testing.T) {
 	}
 	if _, err := RunFig10Sweep(cfg, 0); err == nil {
 		t.Error("zero trials accepted")
+	}
+}
+
+// A non-positive monitor parameter is an error naming the field, from
+// the single-run and the forked-sweep entry points alike, instead of a
+// panic inside a sweep worker.
+func TestFig10RejectsNonPositiveMonitorParams(t *testing.T) {
+	for _, field := range []string{"Samples", "Cont"} {
+		cfg := DefaultFig10Config()
+		if field == "Samples" {
+			cfg.Samples = 0
+		} else {
+			cfg.Cont = 0
+		}
+		if _, err := RunFig10(cfg); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("RunFig10 with %s = 0: err = %v, want one naming %s", field, err, field)
+		}
+		if _, err := RunFig10Sweep(cfg, 2); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("RunFig10Sweep with %s = 0: err = %v, want one naming %s", field, err, field)
+		}
 	}
 }

@@ -6,9 +6,8 @@
 // records what the attacker measured and what the defense reported; a
 // control run per (victim, defense) with no attack mounted supplies the
 // false-positive and overhead columns. The resulting matrix is
-// byte-deterministic: independent of worker count (sweep.Run's indexed
-// merge) and of the replay-splice memo (proven cycle-exact elsewhere),
-// so it gates as a committed golden file.
+// byte-deterministic, independent of worker count (sweep.Run's indexed
+// merge), so it gates as a committed golden file.
 package experiments
 
 import (
@@ -97,10 +96,6 @@ type TournamentOptions struct {
 	// Workers is the sweep worker count (<= 0: GOMAXPROCS). The matrix
 	// bytes never depend on it.
 	Workers int
-	// NoMemo disables the replay-splice memo in the base configuration.
-	// The matrix bytes never depend on it either — that equivalence is
-	// part of the memo's soundness contract and is tested.
-	NoMemo bool
 	// Victims/Defenses/Handles, when non-empty, restrict the roster to
 	// the named entries (matrix order is preserved). Unknown names are
 	// an error.
@@ -262,9 +257,7 @@ func RunTournament(opt TournamentOptions) (*TournamentMatrix, error) {
 	if err != nil {
 		return nil, err
 	}
-	baseCfg := cpu.DefaultConfig()
-	baseCfg.ReplayMemo = !opt.NoMemo
-	return runTournamentMatrix(victims, defenses, handles, baseCfg, opt.Workers)
+	return runTournamentMatrix(victims, defenses, handles, cpu.DefaultConfig(), opt.Workers)
 }
 
 // runTournamentMatrix is the roster-agnostic engine behind

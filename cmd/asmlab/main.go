@@ -10,8 +10,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -25,38 +27,101 @@ import (
 )
 
 func main() {
-	script := flag.String("script", "", "victim script file")
-	handle := flag.String("handle", "handle", "replay-handle symbol")
-	pivot := flag.String("pivot", "", "pivot symbol (optional)")
-	probe := flag.String("probe", "", "probe symbol (cache lines to watch)")
-	lines := flag.Int("lines", 4, "number of 64-byte lines to probe")
-	replays := flag.Int("replays", 5, "replays before release")
-	walk := flag.Int("walk", 4, "page-table levels served from memory (1-4)")
-	disasm := flag.Bool("disasm", false, "print the assembled victim and exit")
-	flag.Parse()
-	if *script == "" {
-		fmt.Fprintln(os.Stderr, "asmlab: -script is required")
-		flag.Usage()
-		os.Exit(2)
-	}
-	if err := run(*script, *handle, *pivot, *probe, *lines, *replays, *walk, *disasm); err != nil {
-		fmt.Fprintln(os.Stderr, "asmlab:", err)
-		os.Exit(1)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(scriptPath, handleSym, pivotSym, probeSym string, lines, replays, walk int, disasm bool) error {
-	src, err := os.ReadFile(scriptPath)
+// options is the parsed command line.
+type options struct {
+	script, handle, pivot, probe string
+	lines, replays, walk         int
+	disasm                       bool
+}
+
+// usageError is an error in the command line itself; run exits 2 on it.
+type usageError struct{ error }
+
+// run parses args, runs the lab and returns the exit code: 0 on
+// success, 1 when the script or the simulation fails, 2 on a usage
+// error (a bad flag, no -script, or a flag naming a symbol the script
+// does not define).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("asmlab", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var o options
+	fs.StringVar(&o.script, "script", "", "victim script file")
+	fs.StringVar(&o.handle, "handle", "handle", "replay-handle symbol")
+	fs.StringVar(&o.pivot, "pivot", "", "pivot symbol (optional)")
+	fs.StringVar(&o.probe, "probe", "", "probe symbol (cache lines to watch)")
+	fs.IntVar(&o.lines, "lines", 4, "number of 64-byte lines to probe")
+	fs.IntVar(&o.replays, "replays", 5, "replays before release")
+	fs.IntVar(&o.walk, "walk", 4, "page-table levels served from memory (1-4)")
+	fs.BoolVar(&o.disasm, "disasm", false, "print the assembled victim and exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if o.script == "" {
+		fmt.Fprintln(stderr, "asmlab: -script is required")
+		fs.Usage()
+		return 2
+	}
+	err := lab(o, stdout, stderr)
+	if err == nil {
+		return 0
+	}
+	fmt.Fprintln(stderr, "asmlab:", err)
+	var ue usageError
+	if errors.As(err, &ue) {
+		return 2
+	}
+	return 1
+}
+
+// lookupSym resolves the symbol a flag names, failing with a usage
+// error instead of Layout.Sym's panic when the script lacks it.
+func lookupSym(l *victim.Layout, flagName, sym string) (mem.Addr, error) {
+	a, ok := l.Symbols[sym]
+	if !ok {
+		return 0, usageError{fmt.Errorf("-%s: script %s defines no symbol %q", flagName, l.Name, sym)}
+	}
+	return a, nil
+}
+
+func lab(o options, stdout, stderr io.Writer) error {
+	src, err := os.ReadFile(o.script)
 	if err != nil {
 		return err
 	}
-	l, err := victim.ParseScript(scriptPath, string(src))
+	l, err := victim.ParseScript(o.script, string(src))
 	if err != nil {
 		return err
 	}
-	if disasm {
-		fmt.Print(isa.Disassemble(l.Prog))
+	if o.disasm {
+		fmt.Fprint(stdout, isa.Disassemble(l.Prog))
 		return nil
+	}
+
+	handle, err := lookupSym(l, "handle", o.handle)
+	if err != nil {
+		return err
+	}
+	var pivot mem.Addr
+	if o.pivot != "" {
+		if pivot, err = lookupSym(l, "pivot", o.pivot); err != nil {
+			return err
+		}
+	}
+	var probeAddrs []mem.Addr
+	if o.probe != "" {
+		base, err := lookupSym(l, "probe", o.probe)
+		if err != nil {
+			return err
+		}
+		for i := 0; i < o.lines; i++ {
+			probeAddrs = append(probeAddrs, base+mem.Addr(i)*64)
+		}
 	}
 
 	rig, err := experiments.NewRig(cpu.DefaultConfig())
@@ -67,22 +132,12 @@ func run(scriptPath, handleSym, pivotSym, probeSym string, lines, replays, walk 
 		return err
 	}
 
-	var probeAddrs []mem.Addr
-	if probeSym != "" {
-		base := l.Sym(probeSym)
-		for i := 0; i < lines; i++ {
-			probeAddrs = append(probeAddrs, base+mem.Addr(i)*64)
-		}
-	}
-
 	rec := &microscope.Recipe{
 		Name:       "asmlab",
 		Victim:     rig.Victim,
-		Handle:     l.Sym(handleSym),
-		WalkLevels: walk,
-	}
-	if pivotSym != "" {
-		rec.Pivot = l.Sym(pivotSym)
+		Handle:     handle,
+		Pivot:      pivot,
+		WalkLevels: o.walk,
 	}
 	rec.OnReplay = func(ev microscope.Event) microscope.Decision {
 		kind := "handle"
@@ -90,16 +145,16 @@ func run(scriptPath, handleSym, pivotSym, probeSym string, lines, replays, walk 
 			kind = "pivot"
 		}
 		hot := describeProbe(rig, probeAddrs)
-		fmt.Printf("fault %2d (%-6s replay %2d, cycle %8d): hot lines %s\n",
+		fmt.Fprintf(stdout, "fault %2d (%-6s replay %2d, cycle %8d): hot lines %s\n",
 			ev.TotalFaults, kind, ev.Replays, ev.Cycle, hot)
 		if err := rig.Module.PrimeAddrs(rig.Victim, probeAddrs); err != nil {
-			fmt.Fprintln(os.Stderr, "asmlab: prime:", err)
+			fmt.Fprintln(stderr, "asmlab: prime:", err)
 			return microscope.Release
 		}
 		if ev.OnPivot {
 			return microscope.Pivot
 		}
-		if ev.Replays >= replays {
+		if ev.Replays >= o.replays {
 			if rec.Pivot != 0 {
 				return microscope.Pivot
 			}
@@ -115,9 +170,9 @@ func run(scriptPath, handleSym, pivotSym, probeSym string, lines, replays, walk 
 		return err
 	}
 
-	fmt.Printf("\nvictim finished: %t; total faults: %d\n",
+	fmt.Fprintf(stdout, "\nvictim finished: %t; total faults: %d\n",
 		rig.Core.Context(0).Halted(), rec.TotalFaults())
-	fmt.Printf("registers: %s\n", describeRegs(rig))
+	fmt.Fprintf(stdout, "registers: %s\n", describeRegs(rig))
 	return nil
 }
 

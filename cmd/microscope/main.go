@@ -41,10 +41,10 @@ var workers = flag.Int("workers", 0,
 
 // showStats, for subcommands that drive a single simulated core (table2,
 // timeline, execpath, walk), appends per-context pipeline statistics, the
-// fast-forward skip count, the replay-memo splice counters and host
-// allocation counters after the subcommand's normal output.
+// fast-forward skip count and host allocation counters after the
+// subcommand's normal output.
 var showStats = flag.Bool("stats", false,
-	"print per-context pipeline statistics, fast-forward skip counts, replay-memo counters and host allocation counters after the run")
+	"print per-context pipeline statistics, fast-forward skip counts and host allocation counters after the run")
 
 // Profiling hooks: the CLI doubles as the perf-work harness, so any
 // subcommand can be profiled directly instead of reconstructing its
@@ -228,9 +228,6 @@ func printStats(core *cpu.Core) {
 		fmt.Printf("       mispredicts=%d memorder=%d stall-cycles=%d skipped-cycles=%d\n",
 			s.Mispredicts, s.MemOrderViolations, s.StallCycles, s.SkippedCycles)
 	}
-	mm := core.MemoStats()
-	fmt.Printf("memo:  hits=%d misses=%d invalidations=%d spliced-cycles=%d\n",
-		mm.Hits, mm.Misses, mm.Invalidations, mm.SplicedCycles)
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	fmt.Printf("host:  heap-allocs=%d heap-bytes=%d gc-cycles=%d\n",

@@ -84,11 +84,6 @@ type Cache struct {
 	misses    uint64
 	lineShift uint   //simlint:snapexempt derived geometry: recomputed from cfg by New; snapshots restore into a same-config cache
 	setMask   uint64 //simlint:snapexempt derived geometry: recomputed from cfg by New; snapshots restore into a same-config cache
-
-	// Replay-memo recording hooks (nil when no recording is active; see
-	// memo.go).
-	onTouch func(set int) //simlint:snapexempt host wiring: memo recorder re-arms its hooks when recording restarts
-	onInval func()        //simlint:snapexempt host wiring: memo recorder re-arms its hooks when recording restarts
 }
 
 // New builds a cache from cfg, panicking on invalid configuration (caches
@@ -133,9 +128,6 @@ func log2(n int) int {
 // Lookup probes the cache without modifying replacement state.
 func (c *Cache) Lookup(pa uint64) bool {
 	set, tag := c.index(pa)
-	if c.onTouch != nil {
-		c.onTouch(int(set))
-	}
 	for i := range c.sets[set] {
 		if c.sets[set][i].valid && c.sets[set][i].tag == tag {
 			return true
@@ -149,9 +141,6 @@ func (c *Cache) Lookup(pa uint64) bool {
 // ok=true.
 func (c *Cache) Access(pa uint64) (hit bool, evicted uint64, evictedOK bool) {
 	set, tag := c.index(pa)
-	if c.onTouch != nil {
-		c.onTouch(int(set))
-	}
 	c.lruClock++
 	lines := c.sets[set]
 	for i := range lines {
@@ -188,9 +177,6 @@ func (c *Cache) lineAddr(set, tag uint64) uint64 {
 // present (clflush semantics).
 func (c *Cache) Flush(pa uint64) bool {
 	set, tag := c.index(pa)
-	if c.onInval != nil {
-		c.onInval()
-	}
 	for i := range c.sets[set] {
 		if c.sets[set][i].valid && c.sets[set][i].tag == tag {
 			c.sets[set][i].valid = false
@@ -202,9 +188,6 @@ func (c *Cache) Flush(pa uint64) bool {
 
 // FlushAll invalidates every line.
 func (c *Cache) FlushAll() {
-	if c.onInval != nil {
-		c.onInval()
-	}
 	for s := range c.sets {
 		for w := range c.sets[s] {
 			c.sets[s][w].valid = false

@@ -20,11 +20,6 @@ type PWC struct {
 	clock    uint64
 	hits     uint64
 	misses   uint64
-
-	// Replay-memo recording hooks and splice scratch (see memo.go).
-	onTouch      func()     //simlint:snapexempt host wiring: memo recorder re-arms its hooks when recording restarts
-	onInval      func()     //simlint:snapexempt host wiring: memo recorder re-arms its hooks when recording restarts
-	applyScratch []pwcEntry //simlint:snapexempt transient scratch: dead outside a single splice apply, holds no machine state
 }
 
 type pwcEntry struct {
@@ -55,9 +50,6 @@ func (p *PWC) find(ea uint64) int {
 // Lookup reports whether the page-table entry at physical address ea is
 // cached, updating recency on hit.
 func (p *PWC) Lookup(ea uint64) bool {
-	if p.onTouch != nil {
-		p.onTouch()
-	}
 	p.clock++
 	if i := p.find(ea); i >= 0 {
 		p.entries[i].lru = p.clock
@@ -73,9 +65,6 @@ func (p *PWC) Lookup(ea uint64) bool {
 func (p *PWC) Insert(ea uint64, level mem.Level) {
 	if level == mem.PTE || p.capacity <= 0 {
 		return
-	}
-	if p.onTouch != nil {
-		p.onTouch()
 	}
 	p.clock++
 	if i := p.find(ea); i >= 0 {
@@ -100,9 +89,6 @@ func (p *PWC) Insert(ea uint64, level mem.Level) {
 // Flush removes the entry at ea (MicroScope setup flushes the PWC along
 // with the cache hierarchy so the walk starts from scratch).
 func (p *PWC) Flush(ea uint64) {
-	if p.onInval != nil {
-		p.onInval()
-	}
 	if i := p.find(ea); i >= 0 {
 		p.entries[i] = p.entries[p.n-1]
 		p.n--
@@ -111,9 +97,6 @@ func (p *PWC) Flush(ea uint64) {
 
 // FlushAll empties the PWC.
 func (p *PWC) FlushAll() {
-	if p.onInval != nil {
-		p.onInval()
-	}
 	p.n = 0
 }
 

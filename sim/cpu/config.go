@@ -70,9 +70,7 @@ type Config struct {
 	// reaching SquashThreshold raises a replay alarm
 	// (ContextStats.ReplayAlarms). A retirement of the PC clears its
 	// counter, so benign code that faults once per demand page never
-	// accumulates. Zero disables the detector. Enabling it self-gates
-	// the replay memo: the counters are fingerprint-invisible state, so
-	// no window is ever spliced while the detector runs (see memoUsable).
+	// accumulates. Zero disables the detector.
 	SquashThreshold int
 	// SquashEpoch is the epoch length, in cycles, of the Jamais Vu
 	// counters: when the cycle counter crosses an epoch boundary the
@@ -109,19 +107,6 @@ type Config struct {
 	// single-cycle regardless. DefaultConfig enables it.
 	FastForward bool
 
-	// ReplayMemo enables the replay-splice cache: at each page-fault
-	// boundary inside Run, the core fingerprints the machine state a
-	// transient window can depend on and, on a match with a previously
-	// recorded window, splices its memoized outcome (cycles, trace
-	// events, stats, cache/TLB/predictor mutations) instead of
-	// re-simulating it. Fault handlers always run live, so replay
-	// counting and PTE manipulation stay exact; see sim/cpu/memo.go for
-	// the fingerprint and invalidation model. Traces, stats and final
-	// state are bit-identical with the flag off (proved by the memo
-	// differential tests). DefaultConfig enables it; zero-value Configs
-	// leave it off.
-	ReplayMemo bool
-
 	// JitterPeriod/JitterExtra inject deterministic timing noise: every
 	// JitterPeriod-th executed instruction takes JitterExtra additional
 	// cycles (DRAM refresh, prefetcher interference, SMIs, ...). Zero
@@ -157,7 +142,6 @@ func DefaultConfig() Config {
 		BranchPredictorBits: 10,
 		RandSeed:            0x5ca1ab1e,
 		FastForward:         true,
-		ReplayMemo:          true,
 		Hierarchy:           cache.DefaultHierarchyConfig(),
 	}
 }

@@ -103,11 +103,6 @@ type Context struct {
 	// heap, waiter links) derived from the ROB; see sched.go.
 	sched schedState
 
-	// progEpoch counts program (re)loads. The replay memo folds it into
-	// window fingerprints so records never survive a program swap that
-	// happens to reuse the same PCs.
-	progEpoch uint64
-
 	// Jamais Vu replay-detector state (Config.SquashThreshold; see
 	// jamaisvu.go): fault-squash counts per PC, and the epoch index the
 	// counts belong to (lazy epoch clearing).
@@ -131,8 +126,6 @@ func (ctx *Context) wakeIssue() { ctx.issueSleepUntil = 0 }
 func (ctx *Context) ID() int { return ctx.id }
 
 // SetAddressSpace binds the context to an address space (CR3 write).
-//
-//simlint:memoexempt as identity (Root/PCID) is folded into every memo fingerprint, so a rebind forces a miss, never a stale splice
 func (ctx *Context) SetAddressSpace(as *mem.AddressSpace) { ctx.as = as }
 
 // AddressSpace returns the bound address space.
@@ -145,8 +138,6 @@ func (ctx *Context) AddressSpace() *mem.AddressSpace { return ctx.as }
 // txbegin) would otherwise surface as execute-stage panics deep in a
 // simulation; validating here turns them into descriptive errors at the
 // point the program enters the machine.
-//
-//simlint:memoexempt progEpoch exists to be written here: it is folded into every memo fingerprint, so a program swap forces a miss
 func (ctx *Context) LoadProgram(p *isa.Program, entry int) error {
 	if err := static.Validate(p); err != nil {
 		return fmt.Errorf("cpu: load program: %w", err)
@@ -161,8 +152,6 @@ func (ctx *Context) LoadProgram(p *isa.Program, entry int) error {
 // SetProgram is LoadProgram for programs known to be well-formed (e.g.
 // emitted by isa.Builder straight from a victim constructor); it panics
 // where LoadProgram returns an error.
-//
-//simlint:memoexempt progEpoch is folded into every memo fingerprint, so a program swap forces a miss
 func (ctx *Context) SetProgram(p *isa.Program, entry int) {
 	if err := ctx.LoadProgram(p, entry); err != nil {
 		panic(err)
@@ -178,7 +167,6 @@ func (ctx *Context) load(p *isa.Program, entry int) {
 		ctx.core.nHalted--
 	}
 	ctx.prog = p
-	ctx.progEpoch++
 	ctx.jvReset()
 	ctx.fetchPC = entry
 	ctx.fetchHalted = false
@@ -202,8 +190,6 @@ func (ctx *Context) Reg(r isa.Reg) uint64 { return ctx.regs[r] }
 // SetReg sets the architectural value of r. Only meaningful while the
 // context is idle (between runs); in-flight instructions hold their own
 // operand copies.
-//
-//simlint:memoexempt regs are folded into every memo fingerprint, so a changed register forces a miss, never a stale splice
 func (ctx *Context) SetReg(r isa.Reg, v uint64) { ctx.regs[r] = v }
 
 // Halted reports whether the context has retired a halt.

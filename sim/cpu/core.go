@@ -127,7 +127,7 @@ func (f TracerFunc) Trace(ev Event) { f(ev) }
 // Core is one simulated physical core with SMT contexts.
 type Core struct {
 	cfg  Config
-	phys *mem.PhysMem
+	phys *mem.PhysMem //simlint:snapexempt shared wiring: physical memory has its own Snapshot/Restore pair, which sim/snapshot runs before the core's
 	hier *cache.Hierarchy
 	pwc  *cache.PWC
 	tlbs *tlb.Unit
@@ -161,15 +161,6 @@ type Core struct {
 	// *which* draws two diverging runs disagreed on.
 	rdrandDraws uint64
 	rdrandLog   []uint64
-
-	// Replay-splice memo state (see memo.go). inRun and runBudgetEnd gate
-	// splicing to Run's interior, where the caller observes nothing
-	// between steps; memoSuspend disables the memo during RunUntil, whose
-	// per-step condition a splice would jump over.
-	memo         memoState
-	inRun        bool   //simlint:snapexempt transient run-loop state: always false between runs, and snapshots are only taken between runs
-	runBudgetEnd uint64 //simlint:snapexempt transient run-loop state: meaningful only while inRun, which snapshots never observe set
-	memoSuspend  int    //simlint:snapexempt transient run-loop state: RunUntil balance counter, always zero between runs
 }
 
 // NewCore builds a core over the given physical memory.
@@ -193,7 +184,6 @@ func NewCore(cfg Config, phys *mem.PhysMem) *Core {
 		ctx.sched.init(cfg.ROBSize)
 		c.contexts = append(c.contexts, ctx)
 	}
-	c.memoInit()
 	return c
 }
 
@@ -227,20 +217,12 @@ func (c *Core) Ports() *pipeline.PortSet { return &c.ports }
 // SetFaultHandler installs the page-fault handler.
 func (c *Core) SetFaultHandler(h FaultHandler) { c.faultHandler = h }
 
-// SetTracer attaches a pipeline tracer (nil detaches). Changing the
-// observation regime flushes the replay memo: records made without a
-// tracer carry no events to replay, and vice versa.
-func (c *Core) SetTracer(t Tracer) {
-	c.MemoFlush()
-	c.tracer = t
-}
+// SetTracer attaches a pipeline tracer (nil detaches).
+func (c *Core) SetTracer(t Tracer) { c.tracer = t }
 
 func (c *Core) trace(ev Event) {
 	if c.tracer != nil {
 		ev.Cycle = c.cycle
-		if r := c.memo.rec; r != nil {
-			r.events = append(r.events, ev)
-		}
 		c.tracer.Trace(ev)
 	}
 }
@@ -263,12 +245,7 @@ func (c *Core) FlushPageStructures(entryAddr mem.Addr) {
 // Execution-port contention is untouched: SIMF flushes state, not
 // occupancy, which is exactly the residual channel the tournament's
 // port victims still leak through.
-//
-// Every memoized replay window fingerprints first-touch state of these
-// structures, so all records are dropped rather than left to mismatch
-// one probe at a time.
 func (c *Core) FlushMicroarch(ctxID int) {
-	c.MemoFlush()
 	c.hier.FlushAll()
 	c.tlbs.FlushAll()
 	c.pwc.FlushAll()
@@ -287,9 +264,6 @@ func (c *Core) rdrand() uint64 {
 	c.rdrandDraws++
 	if len(c.rdrandLog) < rdrandLogCap {
 		c.rdrandLog = append(c.rdrandLog, v)
-	}
-	if r := c.memo.rec; r != nil {
-		r.rdrandVals = append(r.rdrandVals, v)
 	}
 	return v
 }
@@ -310,6 +284,20 @@ func (c *Core) Halted() bool { return c.nHalted == c.nLoaded }
 // SkippedCycles returns the total simulated cycles the fast-forward
 // engine jumped over (all of them provably dead for every context).
 func (c *Core) SkippedCycles() uint64 { return c.skipped }
+
+// MemoStats is the counter set of the replay splice cache, which was
+// removed because it cost more host time than it saved. Only the
+// benchmark probe (bench/probe_test.go) still reads it, for its memo.*
+// per-layer metrics; the benchmark change that drops those metrics
+// deletes this type and Core.MemoStats.
+type MemoStats struct {
+	Hits          uint64
+	Misses        uint64
+	SplicedCycles uint64
+}
+
+// MemoStats returns the zero value: nothing is memoized.
+func (c *Core) MemoStats() MemoStats { return MemoStats{} }
 
 // ctxHalt halts a context, maintaining the halted-context counter. Every
 // site that sets Context.halted goes through here.
@@ -334,18 +322,9 @@ func (c *Core) Step() {
 }
 
 // Run steps until all contexts halt or maxCycles elapse, returning the
-// number of cycles advanced (stepped, fast-forwarded or memo-spliced).
+// number of cycles advanced (stepped or fast-forwarded).
 func (c *Core) Run(maxCycles uint64) uint64 {
 	start := c.cycle
-	c.inRun = true
-	c.runBudgetEnd = start + maxCycles
-	if c.runBudgetEnd < start {
-		c.runBudgetEnd = neverCycle // saturate on overflow
-	}
-	defer func() {
-		c.inRun = false
-		c.memoAbortRecording() // a window never spans Run calls
-	}()
 	for !c.Halted() && c.cycle-start < maxCycles {
 		c.fastForward(start, maxCycles)
 		if c.cycle-start >= maxCycles {
@@ -363,8 +342,6 @@ func (c *Core) Run(maxCycles uint64) uint64 {
 // same sequence of values; a cond keyed directly off Cycle() should run
 // with fast-forward disabled).
 func (c *Core) RunUntil(cond func() bool, maxCycles uint64) bool {
-	c.memoSuspend++ // a splice would jump over cond evaluations
-	defer func() { c.memoSuspend-- }()
 	start := c.cycle
 	for c.cycle-start < maxCycles {
 		if cond() {
@@ -663,12 +640,6 @@ func (c *Core) retire() {
 
 // commit applies the architectural effects of a completed instruction.
 func (c *Core) commit(ctx *Context, e *pipeline.Entry) {
-	// A replay window never retires anything (fetch resumes at the
-	// faulting PC and the head re-faults); any retirement means this is
-	// not a pure transient window, so the recording cannot be reused.
-	if c.memo.rec != nil {
-		c.memoAbortRecording()
-	}
 	e.State = pipeline.StateRetired
 	ctx.serialize = false // first post-flush retirement lifts the fence
 	c.jvRetire(ctx, e.PC) // forward progress at this PC: not a replay
@@ -733,8 +704,6 @@ func (c *Core) trackTxWrite(ctx *Context, pa mem.Addr) {
 // EvictLine flushes a physical line from the cache hierarchy AND aborts
 // any transaction whose write set contains it — the attacker-controlled
 // TSX abort trigger of §7.1. It reports whether a transaction aborted.
-//
-//simlint:memoexempt writes fetchHalted via squash helpers; the flag is folded into every memo fingerprint, so the write forces a miss
 func (c *Core) EvictLine(pa mem.Addr) bool {
 	c.hier.FlushAddr(pa)
 	line := pa &^ 63
@@ -776,8 +745,6 @@ func (c *Core) abortTx(ctx *Context, reason string) {
 // instruction. This is the timer-interrupt primitive SGX-Step-style
 // attacks [57] use to single-step a victim — one of the noisy baselines
 // of Table 1.
-//
-//simlint:memoexempt writes fetchPC/fetchHalted/serialize/stallUntil, all folded into every memo fingerprint, so a preempt forces a miss
 func (c *Core) Preempt(ctxID int, handlerLatency uint64) {
 	ctx := c.contexts[ctxID]
 	if ctx.inTx {
@@ -805,8 +772,6 @@ func (c *Core) Preempt(ctxID int, handlerLatency uint64) {
 // AbortTx aborts the context's transaction from outside the pipeline
 // (attacker-induced: write-set eviction, interrupt, ...). It reports
 // whether a transaction was active.
-//
-//simlint:memoexempt writes fetchPC/fetchHalted via the abort path, both folded into every memo fingerprint, so an abort forces a miss
 func (c *Core) AbortTx(ctxID int, reason string) bool {
 	ctx := c.contexts[ctxID]
 	if !ctx.inTx {
@@ -819,13 +784,6 @@ func (c *Core) AbortTx(ctxID int, reason string) bool {
 // deliverFault implements precise exception delivery: squash everything,
 // run the (simulated) OS handler, stall for its latency, and resume at the
 // faulting instruction.
-//
-// The loop below is the replay memo's splice point. Each fault boundary
-// first closes any window being recorded (memoWindowEnd), then runs the
-// handler live. If the memo holds a record whose fingerprint matches the
-// post-handler state, the entire transient window up to the *next* fault
-// is spliced in and the loop continues with that fault — replaying
-// thousands of MicroScope replay iterations without simulating them.
 func (c *Core) deliverFault(ctx *Context, e *pipeline.Entry) {
 	// A fault inside a transaction aborts the transaction instead of
 	// trapping to the OS — the TSX behaviour T-SGX builds on (§8). The
@@ -834,38 +792,11 @@ func (c *Core) deliverFault(ctx *Context, e *pipeline.Entry) {
 	// faults from the OS is exactly the evasion the hardware counters
 	// exist to catch.
 	if ctx.inTx {
-		c.memoAbortRecording()
 		c.jvFault(ctx, e.PC)
 		c.abortTx(ctx, fmt.Sprintf("page fault in tx at pc=%d", e.PC))
 		return
 	}
 
-	pf := c.faultPre(ctx, e)
-	c.memoWindowEnd(ctx, pf)
-	for {
-		if c.faultHandler == nil {
-			c.ctxHalt(ctx)
-			return
-		}
-		out := c.faultHandler.HandlePageFault(pf)
-		if out.Terminate {
-			c.ctxHalt(ctx)
-			return
-		}
-		ctx.stallUntil = c.cycle + out.HandlerLatency
-		ctx.stats.StallCycles += out.HandlerLatency
-		next, spliced := c.memoResume(ctx, pf)
-		if !spliced {
-			return
-		}
-		pf = next
-	}
-}
-
-// faultPre applies the engine-side effects of fault delivery (squash,
-// fetch redirect, fault event) and builds the PageFault, leaving only
-// the handler call to the caller.
-func (c *Core) faultPre(ctx *Context, e *pipeline.Entry) PageFault {
 	ctx.stats.PageFaults++
 	c.jvFault(ctx, e.PC)
 	ctx.squashAll()
@@ -888,7 +819,18 @@ func (c *Core) faultPre(ctx *Context, e *pipeline.Entry) PageFault {
 	}
 	c.trace(Event{Context: ctx.id, Kind: EvFault, PC: e.PC, Seq: e.Seq, Instr: e.Instr,
 		Walk: e.WalkCycles, Addr: f.VA, Detail: f.Error()})
-	return pf
+
+	if c.faultHandler == nil {
+		c.ctxHalt(ctx)
+		return
+	}
+	out := c.faultHandler.HandlePageFault(pf)
+	if out.Terminate {
+		c.ctxHalt(ctx)
+		return
+	}
+	ctx.stallUntil = c.cycle + out.HandlerLatency
+	ctx.stats.StallCycles += out.HandlerLatency
 }
 
 // ---------------------------------------------------------------------
@@ -1222,11 +1164,6 @@ func (c *Core) tryIssueEntry(ctx *Context, e *pipeline.Entry) (bool, uint64) {
 // architectural effects happen at commit. forward, when non-nil, is the
 // store-buffer entry a load forwards its data from.
 func (c *Core) execute(ctx *Context, e *pipeline.Entry, forward *pipeline.Entry) (lat int, result uint64, fault error, effAddr, physAddr mem.Addr, walkCycles int) {
-	if r := c.memo.rec; r != nil && ctx == r.ctx {
-		// Track absolute-timestamp taint for the window being recorded
-		// (may abort the recording; never changes execution).
-		c.memoTaintExec(r, e, forward)
-	}
 	in := e.Instr
 	a, b := e.Src[0].Value, e.Src[1].Value
 	lat = c.cfg.ALULat

@@ -42,13 +42,8 @@ type ShadowTracker interface {
 	ShadowTxAbort(ctx *Context)
 }
 
-// SetShadow attaches a shadow-taint tracker (nil detaches). The replay
-// memo is flushed and stays disabled while a tracker is attached: shadow
-// state is not part of memo records, so a splice would desynchronise it.
-func (c *Core) SetShadow(s ShadowTracker) {
-	c.MemoFlush()
-	c.shadow = s
-}
+// SetShadow attaches a shadow-taint tracker (nil detaches).
+func (c *Core) SetShadow(s ShadowTracker) { c.shadow = s }
 
 // ShadowTracker returns the attached tracker, or nil.
 func (c *Core) ShadowTracker() ShadowTracker { return c.shadow }

@@ -326,9 +326,6 @@ func (c *Core) Restore(s *CoreSnap) error {
 	if len(s.Contexts) != len(c.contexts) {
 		return fmt.Errorf("cpu: snapshot has %d contexts, core has %d", len(s.Contexts), len(c.contexts))
 	}
-	// Memo records fingerprint state this restore is about to replace;
-	// drop them all rather than trust probes against rebuilt structures.
-	c.MemoFlush()
 	if err := c.hier.Restore(s.Hier); err != nil {
 		return fmt.Errorf("cpu: restore: %w", err)
 	}
@@ -363,7 +360,6 @@ func restoreContext(ctx *Context, s ContextSnap) error {
 	} else {
 		ctx.prog = nil
 	}
-	ctx.progEpoch++ // new program identity: retire any memo fingerprints
 	ctx.fetchPC = s.FetchPC
 	ctx.fetchHalted = s.FetchHalted
 	ctx.halted = s.Halted
@@ -488,10 +484,6 @@ func (c *Core) UpdateTiming(cfg Config) error {
 	case cfg.Hierarchy != c.cfg.Hierarchy:
 		return fmt.Errorf("cpu: UpdateTiming cannot change the cache hierarchy")
 	}
-	// Recorded windows embed the old timing (latencies, jitter schedule);
-	// none of them is replayable under the new one.
-	c.MemoFlush()
 	c.cfg = cfg
-	c.memo.enabled = cfg.ReplayMemo
 	return nil
 }

@@ -12,11 +12,6 @@ type Predictor struct {
 	// Statistics.
 	Lookups     uint64
 	Mispredicts uint64
-
-	// Replay-memo recording hooks (nil when no recording is active; see
-	// memo.go).
-	onTouch func(idx int) //simlint:snapexempt host wiring: memo recorder re-arms its hooks when recording restarts
-	onInval func()        //simlint:snapexempt host wiring: memo recorder re-arms its hooks when recording restarts
 }
 
 type btbEntry struct {
@@ -39,9 +34,6 @@ func NewPredictor(bits int) *Predictor {
 // branch at pc. When the BTB has no target, the predictor falls back to
 // not-taken (fetch continues at pc+1).
 func (bp *Predictor) Predict(pc int) (taken bool, target int) {
-	if bp.onTouch != nil {
-		bp.onTouch(pc & bp.mask)
-	}
 	bp.Lookups++
 	i := pc & bp.mask
 	taken = bp.counters[i] >= 2
@@ -58,18 +50,12 @@ func (bp *Predictor) Predict(pc int) (taken bool, target int) {
 // pc. The simulated ISA's branches carry their target in the instruction,
 // so the fetch engine needs no BTB lookup for direct branches.
 func (bp *Predictor) PredictDirection(pc int) bool {
-	if bp.onTouch != nil {
-		bp.onTouch(pc & bp.mask)
-	}
 	bp.Lookups++
 	return bp.counters[pc&bp.mask] >= 2
 }
 
 // Update trains the predictor with the resolved outcome.
 func (bp *Predictor) Update(pc int, taken bool, target int) {
-	if bp.onTouch != nil {
-		bp.onTouch(pc & bp.mask)
-	}
 	i := pc & bp.mask
 	if taken {
 		if bp.counters[i] < 3 {
@@ -88,9 +74,6 @@ func (bp *Predictor) RecordMispredict() { bp.Mispredicts++ }
 // enclave entry by the countermeasure in [12]. Flushing puts the predictor
 // into a *known* state — which §4.2.3 notes actually helps the attacker.
 func (bp *Predictor) Flush() {
-	if bp.onInval != nil {
-		bp.onInval()
-	}
 	for i := range bp.counters {
 		bp.counters[i] = 0
 	}

@@ -12,8 +12,8 @@ package lint
 // written down where the next reader will look. A reasonless or
 // unknown-kind simlint: comment is itself a diagnostic.
 //
-// Kinds: snapexempt (snapcover), memoexempt (memoinval), enumexempt
-// (enumtotal), hookexempt (hookpair).
+// Kinds: snapexempt (snapcover), enumexempt (enumtotal), hookexempt
+// (hookpair).
 
 import (
 	"go/ast"
@@ -27,7 +27,6 @@ import (
 // analyzer that consumes each.
 var ExemptKinds = map[string]string{
 	"snapexempt": "snapcover",
-	"memoexempt": "memoinval",
 	"enumexempt": "enumtotal",
 	"hookexempt": "hookpair",
 }
@@ -109,7 +108,7 @@ func checkUnknownExemptKinds(u *Unit, report func(token.Pos, string, ...interfac
 				}
 				if _, known := ExemptKinds[k]; !known {
 					report(c.Pos(),
-						"unknown simlint directive //simlint:%s; recognized kinds: snapexempt, memoexempt, enumexempt, hookexempt",
+						"unknown simlint directive //simlint:%s; recognized kinds: snapexempt, enumexempt, hookexempt",
 						k)
 				}
 			}

@@ -1,20 +1,15 @@
 // Package lint is the simlint analyzer framework: a stdlib-only,
 // vet.cfg-compatible multi-analyzer harness for the repository's own
-// correctness contracts. Five analyzers share one typechecked view of a
+// correctness contracts. Four analyzers share one typechecked view of a
 // package:
 //
-//   - determinism: byte-identical output for identical inputs (the
-//     original tools/determlint checks — global math/rand, time.Now,
-//     environment reads, map-order-dependent output, goroutine
-//     discipline);
+//   - determinism: byte-identical output for identical inputs (global
+//     math/rand, time.Now, environment reads, map-order-dependent
+//     output, goroutine discipline);
 //   - snapcover: every struct with a Snapshot()/Restore() pair must
 //     serialize every field or exempt it with a written reason, so the
 //     checkpoint/restore bit-identity contract cannot rot when a field
 //     is added;
-//   - memoinval: every exported method on the replay-memo's fingerprint
-//     owners (cpu.Core/cpu.Context, per the checked-in manifest derived
-//     from sim/cpu/memo.go) that writes fingerprint-input state must
-//     call the memo-invalidation path or carry an exemption;
 //   - enumtotal: switches over the repo's closed enums (side-channel
 //     taxonomy, reconcile classes, verifier verdicts, trace event
 //     kinds) must be total — every declared constant, a default, or an
@@ -96,7 +91,6 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		analyzerDeterminism(),
 		analyzerSnapcover(),
-		analyzerMemoinval(),
 		analyzerEnumtotal(),
 		analyzerHookpair(),
 	}

@@ -1,13 +1,11 @@
 package lint
 
 // Live-tree gates: the checked-in sources must be clean under every
-// analyzer, every exemption in the tree must carry its reason, the
-// memoinval manifest must stay synchronized with memoFixedDigest, and
+// analyzer, every exemption in the tree must carry its reason, and
 // snapcover must actually catch the deletion of a serialized field
 // from cpu.Core / cpu.Context (the acceptance-criteria demonstration).
 
 import (
-	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -17,7 +15,7 @@ import (
 	"testing"
 )
 
-// TestLiveTreeClean runs all five analyzers over every package of the
+// TestLiveTreeClean runs all four analyzers over every package of the
 // module and requires zero findings: every real bug is fixed, every
 // deliberate deviation carries a written exemption.
 func TestLiveTreeClean(t *testing.T) {
@@ -91,79 +89,6 @@ func TestTreeExemptionsCarryReasons(t *testing.T) {
 	if good == 0 {
 		t.Error("found no well-formed exemptions in the tree; the walk or the parser is broken")
 	}
-}
-
-// TestManifestSyncWithMemoFixedDigest pins memoManifest["microscope/sim/cpu"]
-// to the actual body of Core.memoFixedDigest: every c.<field> /
-// ctx.<field> the digest reads must be in the manifest (else memoinval
-// cannot protect it), and every manifest entry must still be read by
-// the digest (else the manifest demands invalidation for state the
-// fingerprint no longer sees). Parsed structurally — no typechecking —
-// so the test survives refactors of everything but the digest itself.
-func TestManifestSyncWithMemoFixedDigest(t *testing.T) {
-	l, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fset := token.NewFileSet()
-	path := filepath.Join(l.ModRoot, "sim", "cpu", "memo.go")
-	f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var digest *ast.FuncDecl
-	for _, decl := range f.Decls {
-		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Name.Name == "memoFixedDigest" {
-			digest = fd
-			break
-		}
-	}
-	if digest == nil {
-		t.Fatal("sim/cpu/memo.go no longer declares memoFixedDigest; rewrite this test against the new fingerprint function")
-	}
-
-	read := map[string]map[string]bool{"c": {}, "ctx": {}}
-	ast.Inspect(digest.Body, func(n ast.Node) bool {
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		if id, ok := sel.X.(*ast.Ident); ok {
-			if fields, tracked := read[id.Name]; tracked {
-				fields[sel.Sel.Name] = true
-			}
-		}
-		return true
-	})
-
-	// Core fields the digest reads but the manifest deliberately omits:
-	// ports is run-loop-internal issue-port state with no exported
-	// mutator, so there is no method for memoinval to check.
-	coreAllowlist := map[string]bool{"ports": true}
-
-	manifest := memoManifest["microscope/sim/cpu"]
-	check := func(recv, manifestType string, allow map[string]bool) {
-		want := make(map[string]bool)
-		for _, field := range manifest[manifestType] {
-			want[field] = true
-		}
-		for field := range read[recv] {
-			if allow[field] {
-				continue
-			}
-			if !want[field] {
-				t.Errorf("memoFixedDigest reads %s.%s but memoManifest[%q][%q] does not list it",
-					recv, field, "microscope/sim/cpu", manifestType)
-			}
-		}
-		for field := range want {
-			if !read[recv][field] {
-				t.Errorf("memoManifest lists %s.%s but memoFixedDigest no longer reads it", manifestType, field)
-			}
-		}
-	}
-	check("c", "Core", coreAllowlist)
-	check("ctx", "Context", nil)
 }
 
 // TestSnapcoverCatchesFieldDeletion is the acceptance-criteria
