@@ -28,8 +28,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-
-	"microscope/analysis/stats"
 )
 
 // Trial computes one independent trial of a sweep. It must be safe to
@@ -160,31 +158,4 @@ func firstError(errs []error) error {
 		}
 	}
 	return nil
-}
-
-// RunSamples executes n trials that each produce a batch of latency
-// samples and folds the batches into one stats.Accumulator, merging
-// per-trial accumulators in trial-index order so the final summary is
-// identical for every worker count. Each trial's batch is sorted once by
-// its own worker; the fold is a linear merge of sorted runs — no global
-// re-sort of all samples.
-func RunSamples(n int, opt Options, fn Trial[[]uint64]) (*stats.Accumulator, error) {
-	accs, err := Run(n, opt, func(trial int) (*stats.Accumulator, error) {
-		xs, err := fn(trial)
-		if err != nil {
-			return nil, err
-		}
-		a := stats.NewAccumulator()
-		a.AddSamples(xs)
-		a.Sort() // pre-sort on the worker, in parallel
-		return a, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	total := stats.NewAccumulator()
-	for _, a := range accs {
-		total.Merge(a)
-	}
-	return total, nil
 }

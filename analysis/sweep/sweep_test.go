@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-
-	"microscope/analysis/stats"
 )
 
 // trialOutput is a deliberately rich result type: scalars, slices, and
@@ -148,43 +146,5 @@ func TestSeedFor(t *testing.T) {
 			}
 			seen[s] = [2]int64{base, int64(trial)}
 		}
-	}
-}
-
-// RunSamples must produce the same summary as serially summarizing the
-// concatenation, for any worker count.
-func TestRunSamplesInvariance(t *testing.T) {
-	gen := func(trial int) ([]uint64, error) {
-		rng := rand.New(rand.NewSource(SeedFor(5, trial)))
-		xs := make([]uint64, 200)
-		for i := range xs {
-			xs[i] = uint64(rng.Intn(1_000))
-		}
-		return xs, nil
-	}
-	var all []uint64
-	for i := 0; i < 10; i++ {
-		xs, _ := gen(i)
-		all = append(all, xs...)
-	}
-	want := stats.Summarize(all)
-	for _, workers := range []int{1, 4} {
-		acc, err := RunSamples(10, Options{Workers: workers}, gen)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := acc.Summary()
-		if got.N != want.N || got.Min != want.Min || got.Max != want.Max ||
-			got.P50 != want.P50 || got.P95 != want.P95 || got.P99 != want.P99 {
-			t.Errorf("workers=%d: summary %+v != %+v", workers, got, want)
-		}
-	}
-	if _, err := RunSamples(3, Options{}, func(i int) ([]uint64, error) {
-		if i == 1 {
-			return nil, errors.New("bad trial")
-		}
-		return []uint64{1}, nil
-	}); err == nil {
-		t.Error("RunSamples swallowed a trial error")
 	}
 }

@@ -631,14 +631,6 @@ func (ex *explorer) siteList() []Site {
 	return out
 }
 
-// atomsOf returns the mask accumulated for the site at (pc, ch).
-func (ex *explorer) atomsOf(s Site) uint64 {
-	if acc, ok := ex.sites[siteKey{pc: s.PC, ch: s.Channel}]; ok {
-		return acc.atoms
-	}
-	return 0
-}
-
 // branchRegions precomputes, for each conditional branch, the set of
 // instructions control-dependent on it: those reachable from exactly
 // one of its two successors.

@@ -23,8 +23,7 @@ type ExtractionResult struct {
 	Truth map[int][5]uint16
 	// Faults is the total page faults the attack used.
 	Faults int
-	// Cycles is the simulated-cycle cost of the whole extraction (the
-	// throughput benchmarks divide it by wall-clock time).
+	// Cycles is the simulated-cycle cost of the whole extraction.
 	Cycles uint64
 	// PlaintextOK reports that the victim still produced the correct
 	// plaintext (forward progress, §4.1.4 step 6).
@@ -258,7 +257,7 @@ func RunAESExtractionSweep(cfg AESConfig, plaintexts [][]byte, workers int) ([]*
 // RunAESExtractionSweepColdBoot is RunAESExtractionSweep without the
 // shared checkpoint: every trial assembles its own Rig/PhysMem/Core
 // from scratch. It is the reference implementation the forked sweep is
-// tested for byte-identity against and benchmarked over.
+// tested for byte-identity against.
 func RunAESExtractionSweepColdBoot(cfg AESConfig, plaintexts [][]byte, workers int) ([]*ExtractionResult, error) {
 	return sweep.Run(len(plaintexts), sweep.Options{Workers: workers},
 		func(trial int) (*ExtractionResult, error) {

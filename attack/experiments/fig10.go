@@ -85,9 +85,9 @@ func RunFig10(cfg Fig10Config) (*Fig10Result, error) {
 }
 
 // RunFig10WithCore is RunFig10 with a core-configuration override applied
-// to both sides (used by the ablation benches). The two sides are fully
-// independent simulations (each builds its own Rig), so they run as a
-// two-trial sweep; the result is identical to running them back to back.
+// to both sides (used by the divider-latency ablation). The two sides are
+// fully independent simulations (each builds its own Rig), so they run as
+// a two-trial sweep; the result is identical to running them back to back.
 func RunFig10WithCore(cfg Fig10Config, tweak func(*cpu.Config)) (*Fig10Result, error) {
 	sides, err := sweep.Run(2, sweep.Options{Workers: cfg.Workers},
 		func(trial int) (Fig10Side, error) {
@@ -304,8 +304,7 @@ func forkFig10Side(pool *rigPool, tmpl *fig10Rig, cfg Fig10Config) (Fig10Side, e
 
 // RunFig10SweepColdBoot is RunFig10Sweep without the shared
 // checkpoints: every trial boots its own platforms. It is the reference
-// implementation the forked sweep is tested for identity against and
-// benchmarked over.
+// implementation the forked sweep is tested for identity against.
 func RunFig10SweepColdBoot(cfg Fig10Config, trials int) (*Fig10SweepResult, error) {
 	if trials <= 0 {
 		return nil, fmt.Errorf("experiments: fig10 sweep needs trials > 0, got %d", trials)

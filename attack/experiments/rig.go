@@ -2,7 +2,8 @@
 // evaluation: the Fig. 10 port-contention attack, the Fig. 11 AES cache
 // attack, the full §6.2 single-run AES trace extraction, the Fig. 3
 // timeline, and the ablation studies listed in DESIGN.md. The cmd tools
-// and the root bench harness are thin wrappers around this package.
+// are thin wrappers around this package, and msbench (bench/) runs its
+// entry points as workloads.
 package experiments
 
 import (

@@ -95,7 +95,7 @@ func ParseScript(name, src string) (*Layout, error) {
 			if !ok {
 				return nil, fail("init before region %q", regName)
 			}
-			if off+8 > r.Size {
+			if off > r.Size-8 { // r.Size is at least a page; off+8 could wrap
 				return nil, fail("init offset %d outside region %q", off, regName)
 			}
 			val, err := parseAddr(fields[2])

@@ -1,6 +1,8 @@
 package victim
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -24,6 +26,10 @@ start:  movi r1, 0x400000
         ld   r3, 4096(r1)
         halt
 `
+
+// wrapInitScript's init offset is 2^64-8: an offset+8 bound check wraps
+// to 0 and lets the write index far past the region.
+const wrapInitScript = ";; region data 0x600000 rw\n;; init data+0xfffffffffffffff8 1\nnop"
 
 func TestParseScript(t *testing.T) {
 	l, err := ParseScript("test", testScript)
@@ -96,6 +102,7 @@ func TestParseScriptErrors(t *testing.T) {
 		{"dup region", ";; region r 0x400000 rw\n;; region r 0x401000 rw\nnop", "duplicate region"},
 		{"init missing region", ";; init r+0 1\nnop", "before region"},
 		{"init out of range", ";; region r 0x400000 rw\n;; init r+4090 1\nnop", "outside region"},
+		{"init offset wraps", wrapInitScript, "outside region"},
 		{"symbol missing region", ";; symbol s r+0\nnop", "before region"},
 		{"bad entry", ";; entry nowhere\nnop\nhalt", "undefined"},
 		{"empty program", ";; region r 0x400000 rw\n; nothing", "no instructions"},
@@ -108,6 +115,34 @@ func TestParseScriptErrors(t *testing.T) {
 			t.Errorf("%s: err = %v, want substring %q", c.name, err, c.errSub)
 		}
 	}
+}
+
+// FuzzParseScript feeds the victim-script parser, which cmd/asmlab runs
+// on user files, arbitrary text. ParseScript returns a layout or an
+// error, never both and never a panic, and every region it accepts
+// holds its initializer.
+func FuzzParseScript(f *testing.F) {
+	example, err := os.ReadFile(filepath.Join("..", "..", "examples", "asmlab", "victim.s"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range []string{string(example), testScript, wrapInitScript} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		l, err := ParseScript("fuzz", src)
+		if (l == nil) == (err == nil) {
+			t.Fatalf("ParseScript returned layout %v with error %v", l, err)
+		}
+		if l == nil {
+			return
+		}
+		for _, r := range l.Regions {
+			if uint64(len(r.Init)) > r.Size {
+				t.Fatalf("region %s: %d init bytes in a %d-byte region", r.Name, len(r.Init), r.Size)
+			}
+		}
+	})
 }
 
 func TestSplitRef(t *testing.T) {

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -244,9 +245,8 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
-	if flag.Arg(0) != "timeline" &&
-		(*checkpointEvery != 0 || *reverseTo != 0 || *checkpointOut != "") {
-		fmt.Fprintln(os.Stderr, "microscope: -checkpoint-every/-reverse-to/-checkpoint-out only apply to the timeline subcommand")
+	if err := checkFlags(flag.Arg(0)); err != nil {
+		fmt.Fprintln(os.Stderr, "microscope:", err)
 		os.Exit(2)
 	}
 	if *cpuProfile != "" {
@@ -274,6 +274,18 @@ func main() {
 		fmt.Fprintln(os.Stderr, "microscope:", err)
 		os.Exit(1)
 	}
+}
+
+// checkFlags rejects flag combinations that cannot work for subcommand
+// cmd, before anything runs.
+func checkFlags(cmd string) error {
+	if cmd != "timeline" && (*checkpointEvery != 0 || *reverseTo != 0 || *checkpointOut != "") {
+		return errors.New("-checkpoint-every/-reverse-to/-checkpoint-out only apply to the timeline subcommand")
+	}
+	if *reverseTo != 0 && *checkpointEvery == 0 {
+		return errors.New("-reverse-to requires -checkpoint-every")
+	}
+	return nil
 }
 
 // writeHeapProfile snapshots the heap (after a GC, so the profile shows

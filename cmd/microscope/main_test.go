@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"microscope/attack/experiments"
@@ -94,5 +95,35 @@ func TestTimelineTraceFlagEmitsValidChrome(t *testing.T) {
 	}
 	if !bytes.Equal(data, data2) {
 		t.Error("-trace output differs between identical runs")
+	}
+}
+
+// TestCheckFlags: checkpoint flags outside `timeline`, and -reverse-to
+// without the checkpoints it restores from, are usage errors naming the
+// flag, rejected before anything runs.
+func TestCheckFlags(t *testing.T) {
+	oldEvery, oldReverse := *checkpointEvery, *reverseTo
+	defer func() { *checkpointEvery, *reverseTo = oldEvery, oldReverse }()
+	cases := []struct {
+		cmd       string
+		every, to uint64
+		wantFlag  string // the flag the error names; "" for no error
+	}{
+		{"timeline", 0, 5000, "-reverse-to"},
+		{"timeline", 1000, 5000, ""},
+		{"timeline", 0, 0, ""},
+		{"table2", 1000, 0, "-checkpoint-every"},
+	}
+	for _, c := range cases {
+		*checkpointEvery, *reverseTo = c.every, c.to
+		err := checkFlags(c.cmd)
+		ok := err == nil
+		if c.wantFlag != "" {
+			ok = err != nil && strings.Contains(err.Error(), c.wantFlag)
+		}
+		if !ok {
+			t.Errorf("%s -checkpoint-every %d -reverse-to %d: err = %v, want flag %q named",
+				c.cmd, c.every, c.to, err, c.wantFlag)
+		}
 	}
 }

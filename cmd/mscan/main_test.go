@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -168,6 +169,20 @@ func TestExitCodes(t *testing.T) {
 				t.Fatalf("err = %v, wantErr = %v", err, c.wantErr)
 			}
 		})
+	}
+	// -asm input has no memory layout to run, so neither dynamic mode
+	// takes it, and neither usage error may send the user to the other.
+	for _, c := range []struct {
+		opts options
+		msg  string
+	}{
+		{options{asm: "x.s", prove: true}, "-prove requires -victim"},
+		{options{asm: "x.s", sanitize: true}, "-asm input supports only the static scan"},
+	} {
+		code, err := run(c.opts, io.Discard)
+		if code != exitUsage || err == nil || !strings.Contains(err.Error(), c.msg) {
+			t.Errorf("%+v: code %d, err %v; want %d and %q", c.opts, code, err, exitUsage, c.msg)
+		}
 	}
 }
 

@@ -36,7 +36,7 @@ type sanitizeOutput struct {
 // itself is broken — neither analysis can be trusted until reconciled).
 func runSanitize(o options, out io.Writer) (int, error) {
 	if o.victim == "" {
-		return exitUsage, fmt.Errorf("-sanitize requires -victim (one of: %s); for -asm input use -prove",
+		return exitUsage, fmt.Errorf("-sanitize requires -victim (one of: %s); -asm input supports only the static scan",
 			strings.Join(victimNames(), ", "))
 	}
 	tgt, err := experiments.FindSanTarget(o.victim)

@@ -28,11 +28,24 @@ func main() {
 	metrics := flag.Bool("metrics", false,
 		"print deterministic aggregate pipeline metrics after the windows")
 	flag.Parse()
+	if err := checkFlags(*replays); err != nil {
+		fmt.Fprintln(os.Stderr, "pipeview:", err)
+		os.Exit(2)
+	}
 
 	if err := run(*replays, *secret, *traceOut, *metrics); err != nil {
 		fmt.Fprintln(os.Stderr, "pipeview:", err)
 		os.Exit(1)
 	}
+}
+
+// checkFlags rejects -replays below 1: the module reads MaxReplays <= 0
+// as no limit, so the victim would replay until the cycle budget ran out.
+func checkFlags(replays int) error {
+	if replays < 1 {
+		return fmt.Errorf("-replays must be at least 1, got %d", replays)
+	}
+	return nil
 }
 
 func run(replays int, secret bool, traceOut string, metrics bool) error {
@@ -77,9 +90,14 @@ func run(replays int, secret bool, traceOut string, metrics bool) error {
 	return nil
 }
 
+// cyclesPerReplay bounds the cycles one replay window adds to the run:
+// about 6,100 (a four-level walk of ~1,100 plus the module's 5,000-cycle
+// handler), with headroom.
+const cyclesPerReplay = 10_000
+
 // attack mounts the replay attack on the control-flow-secret victim with
 // a lifecycle collector (and met, when non-nil) attached, and runs it to
-// completion.
+// completion within a cycle budget that grows with replays.
 func attack(replays int, secret bool, met *trace.Metrics) (*experiments.Rig, *trace.Collector, error) {
 	rig, err := experiments.NewRig(cpu.DefaultConfig())
 	if err != nil {
@@ -105,7 +123,7 @@ func attack(replays int, secret bool, met *trace.Metrics) (*experiments.Rig, *tr
 		return nil, nil, err
 	}
 	vic.Start(rig.Kernel, 0)
-	return rig, col, rig.Run(50_000_000)
+	return rig, col, rig.Run(50_000_000 + uint64(replays)*cyclesPerReplay)
 }
 
 // windows groups one context's instruction lifecycles into replay

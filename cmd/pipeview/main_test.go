@@ -102,3 +102,29 @@ func TestReplayWindowsShowReexecution(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckFlags: a -replays below 1 is a usage error naming the flag,
+// rejected before anything runs.
+func TestCheckFlags(t *testing.T) {
+	for _, n := range []int{0, -1} {
+		if err := checkFlags(n); err == nil || !strings.Contains(err.Error(), "-replays") {
+			t.Errorf("checkFlags(%d) = %v, want an error naming -replays", n, err)
+		}
+	}
+	if err := checkFlags(1); err != nil {
+		t.Errorf("checkFlags(1) = %v", err)
+	}
+}
+
+// TestBudgetGrowsWithReplays: at ~6,100 cycles a replay, 8,300 replays
+// outrun a fixed 50M-cycle budget, so the budget must grow with them.
+func TestBudgetGrowsWithReplays(t *testing.T) {
+	const replays = 8300
+	_, col, err := attack(replays, true, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if faults := faultCycles(col); len(faults) != replays {
+		t.Errorf("%d fault marks, want %d", len(faults), replays)
+	}
+}

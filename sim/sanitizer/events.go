@@ -2,7 +2,6 @@ package sanitizer
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"microscope/analysis/sidechan"
@@ -132,22 +131,4 @@ func (s *Sanitizer) Annotations() []trace.Annotation {
 		})
 	}
 	return out
-}
-
-// sortEvents orders events for stable reporting: by context, PC,
-// sequence number, then channel.
-func sortEvents(evs []TransmitEvent) {
-	sort.Slice(evs, func(i, j int) bool {
-		a, b := evs[i], evs[j]
-		if a.Context != b.Context {
-			return a.Context < b.Context
-		}
-		if a.PC != b.PC {
-			return a.PC < b.PC
-		}
-		if a.Seq != b.Seq {
-			return a.Seq < b.Seq
-		}
-		return a.Channel < b.Channel
-	})
 }
