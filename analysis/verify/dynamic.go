@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"microscope/attack/microscope"
+	"microscope/attack/victim"
 	"microscope/sim/cpu"
 	"microscope/sim/isa"
 	"microscope/sim/kernel"
@@ -96,7 +97,7 @@ func (r *runner) runOne(asg Assignment) (trace.Projections, error) {
 	if asg.SeedSet {
 		ccfg.RandSeed = asg.Seed
 	}
-	phys := mem.NewPhysMem(64 << 20)
+	phys := mem.NewPhysMem(victim.PlatformMemBytes)
 	core := cpu.NewCore(ccfg, phys)
 	k := kernel.New(kernel.DefaultConfig(), phys, core)
 	m := microscope.NewModule(k)

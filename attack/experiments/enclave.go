@@ -39,7 +39,7 @@ type EnclaveAttackResult struct {
 // first hook to handle a fault wins and the observer has to see every
 // handle fault.
 func RunEnclaveAttack(secret bool) (*EnclaveAttackResult, error) {
-	phys := mem.NewPhysMem(64 << 20)
+	phys := mem.NewPhysMem(victim.PlatformMemBytes)
 	core := cpu.NewCore(cpu.DefaultConfig(), phys)
 	k := kernel.New(kernel.DefaultConfig(), phys, core)
 	mgr := enclave.NewManager(k, core)

@@ -33,7 +33,7 @@ type Rig struct {
 
 // NewRig assembles a platform with the given core configuration.
 func NewRig(cfg cpu.Config) (*Rig, error) {
-	phys := mem.NewPhysMem(64 << 20)
+	phys := mem.NewPhysMem(victim.PlatformMemBytes)
 	core := cpu.NewCore(cfg, phys)
 	k := kernel.New(kernel.DefaultConfig(), phys, core)
 	m := microscope.NewModule(k)
@@ -68,13 +68,17 @@ func (r *Rig) AddMonitor(l *victim.Layout) error {
 	return nil
 }
 
-// Run steps the core until every loaded context halts or maxCycles pass,
-// returning an error on timeout. The timeout error reports the PC and
-// halt state of *every* loaded context: when the monitor context (SMT
-// context 1) is the one spinning, an error naming only the victim's PC
-// misdiagnoses the hang.
+// Run steps the core until every loaded context halts or maxCycles pass.
+// It returns the module's fault-handler failure (Module.Err), which
+// halts the faulting context, or an error on timeout. The timeout error
+// reports the PC and halt state of *every* loaded context: when the
+// monitor context (SMT context 1) is the one spinning, an error naming
+// only the victim's PC misdiagnoses the hang.
 func (r *Rig) Run(maxCycles uint64) error {
 	r.Core.Run(maxCycles)
+	if err := r.Module.Err(); err != nil {
+		return err
+	}
 	if !r.Core.Halted() {
 		var sb strings.Builder
 		for i := 0; i < r.Core.Contexts(); i++ {

@@ -13,6 +13,7 @@
 package microscope
 
 import (
+	"errors"
 	"fmt"
 
 	"microscope/sim/cpu"
@@ -114,6 +115,9 @@ type Module struct {
 	// Handler-decision record log (see snapshot.go).
 	decisions     []snapshot.DecisionRecord
 	decisionCount uint64
+
+	// failure is the first fault-handler step that failed (see Err).
+	failure string
 }
 
 // NewModule loads the module into the kernel (registers the fault hook of
@@ -122,6 +126,25 @@ func NewModule(k *kernel.Kernel) *Module {
 	m := &Module{k: k, core: k.Core()}
 	m.unregister = k.RegisterHook(m)
 	return m
+}
+
+// Err returns the first failure of the module's fault handler, or nil.
+// A handler that cannot re-arm or release a recipe's page (its page
+// tables no longer walk, say) halts the faulting context instead of
+// panicking, and records why here; Rig.Run reports it.
+func (m *Module) Err() error {
+	if m.failure == "" {
+		return nil
+	}
+	return errors.New(m.failure)
+}
+
+// fail records a fault-handler failure and halts the faulting context.
+func (m *Module) fail(step string, err error) cpu.FaultOutcome {
+	if m.failure == "" {
+		m.failure = fmt.Sprintf("microscope: %s failed: %v", step, err)
+	}
+	return cpu.FaultOutcome{Terminate: true}
 }
 
 // Unload removes the module from the kernel's fault path.
@@ -252,17 +275,17 @@ func (m *Module) onHandleFault(r *Recipe, f cpu.PageFault) cpu.FaultOutcome {
 		// Keep present clear; re-flush the translation path so the next
 		// walk is slow again (timeline 2 of Fig. 3).
 		if err := m.TunePageWalk(r.Victim, r.Handle, r.WalkLevels); err != nil {
-			panic(fmt.Sprintf("microscope: re-arm failed: %v", err))
+			return m.fail("re-arm", err)
 		}
 		m.record(EvReplay, r, f.VA)
 	case Pivot:
 		if err := m.armPivot(r); err != nil {
-			panic(fmt.Sprintf("microscope: pivot arm failed: %v", err))
+			return m.fail("pivot arm", err)
 		}
 		m.record(EvPivotArm, r, r.Pivot)
 	case Release:
 		if _, err := r.Victim.AddressSpace().SetPresent(r.Handle, true); err != nil {
-			panic(fmt.Sprintf("microscope: release failed: %v", err))
+			return m.fail("release", err)
 		}
 		m.record(EvRelease, r, f.VA)
 	}
@@ -288,7 +311,7 @@ func (m *Module) onPivotFault(r *Recipe, f cpu.PageFault) cpu.FaultOutcome {
 		// Keep the pivot armed: replay the pivot's own window (used by
 		// the AES attack to re-execute one round into a primed cache).
 		if err := m.TunePageWalk(r.Victim, r.Pivot, r.WalkLevels); err != nil {
-			panic(fmt.Sprintf("microscope: pivot re-arm failed: %v", err))
+			return m.fail("pivot re-arm", err)
 		}
 		m.record(EvReplay, r, f.VA)
 	case Pivot:
@@ -296,15 +319,15 @@ func (m *Module) onPivotFault(r *Recipe, f cpu.PageFault) cpu.FaultOutcome {
 		// victim retires through the pivot and faults on the handle in
 		// the next iteration (§4.2.2).
 		if _, err := r.Victim.AddressSpace().SetPresent(r.Pivot, true); err != nil {
-			panic(fmt.Sprintf("microscope: pivot release failed: %v", err))
+			return m.fail("pivot release", err)
 		}
 		if err := m.armHandle(r); err != nil {
-			panic(fmt.Sprintf("microscope: handle re-arm failed: %v", err))
+			return m.fail("handle re-arm", err)
 		}
 		m.record(EvHandleArm, r, r.Handle)
 	case Release:
 		if _, err := r.Victim.AddressSpace().SetPresent(r.Pivot, true); err != nil {
-			panic(fmt.Sprintf("microscope: pivot release failed: %v", err))
+			return m.fail("pivot release", err)
 		}
 		r.pivotArmed = false
 		m.record(EvRelease, r, f.VA)

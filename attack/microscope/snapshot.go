@@ -59,6 +59,7 @@ func (m *Module) Snapshot() *snapshot.ModuleState {
 	s := &snapshot.ModuleState{
 		Decisions:     append([]snapshot.DecisionRecord(nil), m.decisions...),
 		DecisionCount: m.decisionCount,
+		Failure:       m.failure,
 	}
 	for _, r := range m.recipes {
 		rs := snapshot.RecipeState{
@@ -104,6 +105,9 @@ func (m *Module) Restore(s *snapshot.ModuleState) error {
 		if !ok {
 			return fmt.Errorf("microscope: restore recipe %q: no process with pid %d", rs.Name, rs.VictimPID)
 		}
+		if rs.WalkLevels < 1 || rs.WalkLevels > mem.Levels {
+			return fmt.Errorf("microscope: restore recipe %q: walk levels %d out of range [1,%d]", rs.Name, rs.WalkLevels, mem.Levels)
+		}
 		r := &Recipe{
 			Name:           rs.Name,
 			Victim:         victim,
@@ -133,5 +137,6 @@ func (m *Module) Restore(s *snapshot.ModuleState) error {
 	}
 	m.decisions = append(m.decisions[:0], s.Decisions...)
 	m.decisionCount = s.DecisionCount
+	m.failure = s.Failure
 	return nil
 }

@@ -21,6 +21,12 @@ import (
 	"microscope/sim/mem"
 )
 
+// PlatformMemBytes is the physical memory of the platform victims are
+// installed on (experiments.NewRig and the verifier's trial boots).
+// Install maps every region eagerly, so a region larger than this could
+// never be installed; ParseScript rejects one.
+const PlatformMemBytes = 64 << 20
+
 // Region is one data area of a victim.
 type Region struct {
 	Name  string

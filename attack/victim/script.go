@@ -72,6 +72,9 @@ func ParseScript(name, src string) (*Layout, error) {
 				}
 				pages = n
 			}
+			if pages > PlatformMemBytes/mem.PageSize {
+				return nil, fail("region %s: %d pages exceed the %d MB of physical memory", fields[1], pages, PlatformMemBytes>>20)
+			}
 			if _, dup := regions[fields[1]]; dup {
 				return nil, fail("duplicate region %q", fields[1])
 			}

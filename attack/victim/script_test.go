@@ -31,6 +31,10 @@ start:  movi r1, 0x400000
 // to 0 and lets the write index far past the region.
 const wrapInitScript = ";; region data 0x600000 rw\n;; init data+0xfffffffffffffff8 1\nnop"
 
+// hugeRegionScript declares a 16 TB region and initializes a word near
+// its end: growing the initializer up to it would exhaust host memory.
+const hugeRegionScript = ";; region data 0x600000 rw 4000000000\n;; init data+0xE8D4A50FF0 1\nnop"
+
 func TestParseScript(t *testing.T) {
 	l, err := ParseScript("test", testScript)
 	if err != nil {
@@ -108,6 +112,7 @@ func TestParseScriptErrors(t *testing.T) {
 		{"empty program", ";; region r 0x400000 rw\n; nothing", "no instructions"},
 		{"bad assembly", "frob r1\nhalt", "unknown mnemonic"},
 		{"bad region pages", ";; region r 0x400000 rw zero\nnop", "bad page count"},
+		{"region beyond physical memory", hugeRegionScript, "exceed the 64 MB of physical memory"},
 	}
 	for _, c := range cases {
 		_, err := ParseScript("t", c.src)
@@ -126,7 +131,7 @@ func FuzzParseScript(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	for _, seed := range []string{string(example), testScript, wrapInitScript} {
+	for _, seed := range []string{string(example), testScript, wrapInitScript, hugeRegionScript} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, src string) {

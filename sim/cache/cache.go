@@ -10,7 +10,12 @@
 // (paper §4.1.2).
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+
+	"microscope/sim/internal/sparse"
+)
 
 // Level identifies where an access was served from.
 type Level int
@@ -75,14 +80,17 @@ type line struct {
 
 // Cache is one set-associative, physically-tagged cache level with LRU
 // replacement. It tracks presence only (the simulation keeps data in
-// mem.PhysMem); that is sufficient for timing behaviour.
+// mem.PhysMem); that is sufficient for timing behaviour. Its ways are
+// stored sparsely (sim/internal/sparse), so FlushAll, Restore and
+// Snapshot cost the sets a run touched, not the capacity.
 type Cache struct {
 	cfg       Config
-	sets      [][]line
+	sets      sparse.Sets[line]
 	lruClock  uint64
 	hits      uint64
 	misses    uint64
 	lineShift uint   //simlint:snapexempt derived geometry: recomputed from cfg by New; snapshots restore into a same-config cache
+	setShift  uint   //simlint:snapexempt derived geometry: recomputed from cfg by New; snapshots restore into a same-config cache
 	setMask   uint64 //simlint:snapexempt derived geometry: recomputed from cfg by New; snapshots restore into a same-config cache
 }
 
@@ -92,19 +100,11 @@ func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	sets := make([][]line, cfg.Sets)
-	backing := make([]line, cfg.Sets*cfg.Ways)
-	for i := range sets {
-		sets[i], backing = backing[:cfg.Ways], backing[cfg.Ways:]
-	}
-	shift := uint(0)
-	for 1<<shift != cfg.LineSize {
-		shift++
-	}
 	return &Cache{
 		cfg:       cfg,
-		sets:      sets,
-		lineShift: shift,
+		sets:      sparse.New[line](cfg.Sets, cfg.Ways),
+		lineShift: uint(bits.TrailingZeros(uint(cfg.LineSize))),
+		setShift:  uint(bits.TrailingZeros(uint(cfg.Sets))),
 		setMask:   uint64(cfg.Sets - 1),
 	}
 }
@@ -114,22 +114,14 @@ func (c *Cache) Config() Config { return c.cfg }
 
 func (c *Cache) index(pa uint64) (set uint64, tag uint64) {
 	lineAddr := pa >> c.lineShift
-	return lineAddr & c.setMask, lineAddr >> uint(log2(c.cfg.Sets))
-}
-
-func log2(n int) int {
-	k := 0
-	for 1<<k < n {
-		k++
-	}
-	return k
+	return lineAddr & c.setMask, lineAddr >> c.setShift
 }
 
 // Lookup probes the cache without modifying replacement state.
 func (c *Cache) Lookup(pa uint64) bool {
 	set, tag := c.index(pa)
-	for i := range c.sets[set] {
-		if c.sets[set][i].valid && c.sets[set][i].tag == tag {
+	for _, l := range c.sets.Ways(set) {
+		if l.valid && l.tag == tag {
 			return true
 		}
 	}
@@ -142,7 +134,7 @@ func (c *Cache) Lookup(pa uint64) bool {
 func (c *Cache) Access(pa uint64) (hit bool, evicted uint64, evictedOK bool) {
 	set, tag := c.index(pa)
 	c.lruClock++
-	lines := c.sets[set]
+	lines := c.sets.Ways(set)
 	for i := range lines {
 		if lines[i].valid && lines[i].tag == tag {
 			lines[i].lru = c.lruClock
@@ -151,6 +143,9 @@ func (c *Cache) Access(pa uint64) (hit bool, evicted uint64, evictedOK bool) {
 		}
 	}
 	c.misses++
+	if lines == nil {
+		lines = c.sets.Alloc(set)
+	}
 	victim := 0
 	for i := range lines {
 		if !lines[i].valid {
@@ -170,16 +165,17 @@ fill:
 }
 
 func (c *Cache) lineAddr(set, tag uint64) uint64 {
-	return (tag<<uint(log2(c.cfg.Sets)) | set) << c.lineShift
+	return (tag<<c.setShift | set) << c.lineShift
 }
 
 // Flush invalidates the line containing pa, reporting whether it was
 // present (clflush semantics).
 func (c *Cache) Flush(pa uint64) bool {
 	set, tag := c.index(pa)
-	for i := range c.sets[set] {
-		if c.sets[set][i].valid && c.sets[set][i].tag == tag {
-			c.sets[set][i].valid = false
+	lines := c.sets.Ways(set)
+	for i := range lines {
+		if lines[i].valid && lines[i].tag == tag {
+			lines[i].valid = false
 			return true
 		}
 	}
@@ -187,13 +183,7 @@ func (c *Cache) Flush(pa uint64) bool {
 }
 
 // FlushAll invalidates every line.
-func (c *Cache) FlushAll() {
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			c.sets[s][w].valid = false
-		}
-	}
-}
+func (c *Cache) FlushAll() { c.sets.Reset() }
 
 // SetOf returns the set index pa maps to (for prime+probe set selection).
 func (c *Cache) SetOf(pa uint64) int {

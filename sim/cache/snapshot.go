@@ -12,15 +12,19 @@ import (
 // built from the same configuration, so a config drift surfaces as a
 // descriptive error rather than silent state corruption.
 
-// LineSnap is one serializable cache line.
+// LineSnap is one valid cache line. Index is set*Ways+way: the way is
+// kept so that Restore puts every line back where it was, and a
+// following Snapshot reproduces the image exactly. snapshot.Diff pairs
+// lines by Index.
 type LineSnap struct {
-	Valid bool
+	Index int `snapdiff:"key"`
 	Tag   uint64
 	LRU   uint64
 }
 
-// CacheSnap is the serializable state of one cache level. Lines is
-// set-major: Lines[set*Ways+way].
+// CacheSnap is the serializable state of one cache level. Lines holds the
+// valid lines only, in ascending Index order; invalid lines carry no
+// state a run can observe.
 type CacheSnap struct {
 	Sets, Ways int
 	Lines      []LineSnap
@@ -29,36 +33,39 @@ type CacheSnap struct {
 	Misses     uint64
 }
 
-// Snapshot captures the cache's line array and statistics.
+// Snapshot captures the cache's valid lines and statistics.
 func (c *Cache) Snapshot() CacheSnap {
 	s := CacheSnap{
 		Sets:     c.cfg.Sets,
 		Ways:     c.cfg.Ways,
-		Lines:    make([]LineSnap, c.cfg.Sets*c.cfg.Ways),
 		LRUClock: c.lruClock,
 		Hits:     c.hits,
 		Misses:   c.misses,
 	}
-	for si, set := range c.sets {
-		for wi, l := range set {
-			s.Lines[si*c.cfg.Ways+wi] = LineSnap{Valid: l.valid, Tag: l.tag, LRU: l.lru}
+	for _, set := range c.sets.Ascending() {
+		for w, l := range c.sets.Ways(uint64(set)) {
+			if l.valid {
+				s.Lines = append(s.Lines, LineSnap{Index: int(set)*c.cfg.Ways + w, Tag: l.tag, LRU: l.lru})
+			}
 		}
 	}
 	return s
 }
 
 // Restore overwrites the cache's state with a snapshot taken from a cache
-// of the same geometry.
+// of the same geometry. It checks the whole image before changing
+// anything, so a malformed one leaves the cache as it was.
 func (c *Cache) Restore(s CacheSnap) error {
-	if s.Sets != c.cfg.Sets || s.Ways != c.cfg.Ways || len(s.Lines) != s.Sets*s.Ways {
-		return fmt.Errorf("cache %s: snapshot geometry %dx%d (%d lines), have %dx%d",
-			c.cfg.Name, s.Sets, s.Ways, len(s.Lines), c.cfg.Sets, c.cfg.Ways)
+	if s.Sets != c.cfg.Sets || s.Ways != c.cfg.Ways {
+		return fmt.Errorf("cache %s: snapshot geometry %dx%d, have %dx%d",
+			c.cfg.Name, s.Sets, s.Ways, c.cfg.Sets, c.cfg.Ways)
 	}
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			ls := s.Lines[si*s.Ways+wi]
-			c.sets[si][wi] = line{valid: ls.Valid, tag: ls.Tag, lru: ls.LRU}
-		}
+	if err := c.sets.CheckIndices(len(s.Lines), func(i int) int { return s.Lines[i].Index }); err != nil {
+		return fmt.Errorf("cache %s: snapshot line %w", c.cfg.Name, err)
+	}
+	c.sets.Reset()
+	for _, l := range s.Lines {
+		c.sets.Place(l.Index, line{valid: true, tag: l.Tag, lru: l.LRU})
 	}
 	c.lruClock = s.LRUClock
 	c.hits = s.Hits

@@ -573,7 +573,7 @@ func (c *Core) complete() {
 // the §7.2 mechanism behind the selective-replay RDRAND bias attack. It
 // reports whether the fault was resolved, fixing up the entry's result.
 func (c *Core) recheckFault(ctx *Context, e *pipeline.Entry) bool {
-	if !e.Instr.Op.IsMem() || e.WalkCycles == 0 {
+	if !e.Instr.Op.IsMem() || e.WalkCycles == 0 || ctx.as == nil {
 		return false
 	}
 	f, ok := e.Fault.(*mem.Fault)

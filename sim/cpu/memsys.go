@@ -18,6 +18,11 @@ type accessResult struct {
 // hardware page walker. The returned latency includes TLB lookup and any
 // walk cycles.
 func (c *Core) translate(ctx *Context, va mem.Addr, write bool) accessResult {
+	if ctx.as == nil {
+		// No address space bound (a restored image whose schedule left a
+		// loaded context unbound): nothing translates.
+		return accessResult{latency: c.cfg.TLBL1Lat, fault: &mem.Fault{VA: va, Level: mem.PGD, Write: write}}
+	}
 	vpn := mem.PageNum(va)
 	pcid := ctx.as.PCID()
 	lat := c.cfg.TLBL1Lat
@@ -64,6 +69,11 @@ func (c *Core) permissionCheck(f tlb.EntryFlags, va mem.Addr, write bool) *mem.F
 func (c *Core) pageWalk(ctx *Context, va mem.Addr, write bool) (lat int, tr tlb.Translation, fault *mem.Fault) {
 	tablePPN := ctx.as.Root()
 	for l := mem.PGD; l <= mem.PTE; l++ {
+		if tablePPN >= c.phys.Frames() {
+			// A table frame beyond physical memory sets reserved address
+			// bits; the walk faults, as mem.AddressSpace's walks do.
+			return lat, tr, &mem.Fault{VA: va, Level: l, Write: write}
+		}
 		ea := tablePPN<<mem.PageShift + mem.IndexFor(l, va)*mem.EntrySize
 		if l < mem.PTE && c.pwc.Lookup(ea) {
 			lat += c.cfg.PWCLat

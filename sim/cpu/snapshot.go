@@ -332,6 +332,13 @@ func (c *Core) Restore(s *CoreSnap) error {
 	if err := c.pwc.Restore(s.PWC); err != nil {
 		return fmt.Errorf("cpu: restore: %w", err)
 	}
+	for _, t := range []tlb.TLBSnap{s.TLBs.L1D, s.TLBs.L1I, s.TLBs.L2} {
+		for _, w := range t.Ways {
+			if w.Tr.PPN >= c.phys.Frames() {
+				return fmt.Errorf("cpu: restore: tlb entry %d maps frame %#x beyond physical memory", w.Index, w.Tr.PPN)
+			}
+		}
+	}
 	if err := c.tlbs.Restore(s.TLBs); err != nil {
 		return fmt.Errorf("cpu: restore: %w", err)
 	}
@@ -346,19 +353,34 @@ func (c *Core) Restore(s *CoreSnap) error {
 	c.rdrandDraws = s.RdrandDraws
 	c.rdrandLog = append(c.rdrandLog[:0], s.RdrandLog...)
 	for i, cs := range s.Contexts {
-		if err := restoreContext(c.contexts[i], cs); err != nil {
+		if err := restoreContext(c.contexts[i], cs, c.phys.Size()); err != nil {
 			return fmt.Errorf("cpu: restore context %d: %w", i, err)
 		}
 	}
 	return nil
 }
 
-func restoreContext(ctx *Context, s ContextSnap) error {
+// restoreContext restores one context. The program must be well formed
+// (isa.Program.Validate), and every in-flight entry must be an
+// instruction of it with a physical address inside memory (physBytes),
+// so that a damaged image is an error here rather than a panic mid-run.
+func restoreContext(ctx *Context, s ContextSnap, physBytes uint64) error {
 	ctx.regs = s.Regs
+	ctx.prog = nil
 	if s.HasProg {
-		ctx.prog = s.Prog.restore()
-	} else {
-		ctx.prog = nil
+		p := s.Prog.restore()
+		if err := p.Validate(); err != nil {
+			return err
+		}
+		ctx.prog = p
+	}
+	for i, es := range s.ROB {
+		if ctx.prog == nil || es.PC < 0 || es.PC >= ctx.prog.Len() || es.Instr != ctx.prog.Instrs[es.PC] {
+			return fmt.Errorf("rob entry %d: %s at pc %d is not in the program", i, es.Instr, es.PC)
+		}
+		if es.PhysAddr > physBytes-8 {
+			return fmt.Errorf("rob entry %d: physical address %#x beyond memory", i, es.PhysAddr)
+		}
 	}
 	ctx.fetchPC = s.FetchPC
 	ctx.fetchHalted = s.FetchHalted

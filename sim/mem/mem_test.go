@@ -408,3 +408,42 @@ func TestMapTranslateProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// A page-table entry naming a frame beyond physical memory (only a
+// damaged snapshot image holds one) makes every walker fault or fail
+// instead of reading outside memory.
+func TestWalksFaultOnFramesBeyondMemory(t *testing.T) {
+	as := newSpace(t, 64)
+	va := Addr(0x4000_1000)
+	if _, err := as.MapNew(va, FlagUser); err != nil {
+		t.Fatal(err)
+	}
+	steps, err := as.Walk(va)
+	if err != nil {
+		t.Fatal(err)
+	}
+	beyond := as.Phys().Frames() + 5
+	pmd := steps[PMD]
+	as.Phys().Write64(pmd.EntryAddr, uint64(pmd.Entry.WithPPN(beyond)))
+	var f *Fault
+	if _, err := as.Walk(va); !errors.As(err, &f) || f.Level != PTE {
+		t.Errorf("Walk: err = %v, want a PTE-level fault", err)
+	}
+	if _, err := as.Translate(va); !errors.As(err, &f) || f.Level != PTE {
+		t.Errorf("Translate: err = %v, want a PTE-level fault", err)
+	}
+	if _, _, err := as.LeafEntry(va); !errors.As(err, &f) || f.Level != PTE {
+		t.Errorf("LeafEntry: err = %v, want a PTE-level fault", err)
+	}
+	if err := as.Map(va, 1, FlagUser); !errors.As(err, &f) {
+		t.Errorf("Map: err = %v, want a fault", err)
+	}
+
+	// A leaf naming a data frame beyond memory faults in Translate.
+	as.Phys().Write64(pmd.EntryAddr, uint64(pmd.Entry))
+	pte := steps[PTE]
+	as.Phys().Write64(pte.EntryAddr, uint64(pte.Entry.WithPPN(beyond)))
+	if _, err := as.Translate(va); !errors.As(err, &f) || f.Level != PTE {
+		t.Errorf("Translate of a leaf beyond memory: err = %v, want a PTE-level fault", err)
+	}
+}

@@ -152,13 +152,28 @@ func entryAddr(tablePPN uint64, l Level, va Addr) Addr {
 	return tablePPN<<PageShift + IndexFor(l, va)*EntrySize
 }
 
+// tableEntry returns the physical address of the level-l entry for va
+// in the table held by frame tablePPN. A table frame beyond physical
+// memory faults, as hardware faults on an entry whose frame number sets
+// reserved physical-address bits; only a corrupted or forged page table
+// (a damaged snapshot image, say) points there.
+func (as *AddressSpace) tableEntry(tablePPN uint64, l Level, va Addr) (Addr, *Fault) {
+	if tablePPN >= as.phys.Frames() {
+		return 0, &Fault{VA: va, Level: l}
+	}
+	return entryAddr(tablePPN, l, va), nil
+}
+
 // Map installs a translation va -> ppn with the given flag bits
 // (FlagPresent is implied). Intermediate tables are allocated on demand
 // with Present|Writable|User so that leaf permissions govern access.
 func (as *AddressSpace) Map(va Addr, ppn uint64, flags uint64) error {
 	tablePPN := as.root
 	for l := PGD; l < PTE; l++ {
-		ea := entryAddr(tablePPN, l, va)
+		ea, f := as.tableEntry(tablePPN, l, va)
+		if f != nil {
+			return fmt.Errorf("mem: mapping %#x: %w", va, f)
+		}
 		e := Entry(as.phys.Read64(ea))
 		if !e.Present() {
 			newPPN, err := as.phys.AllocFrame()
@@ -170,7 +185,10 @@ func (as *AddressSpace) Map(va Addr, ppn uint64, flags uint64) error {
 		}
 		tablePPN = e.PPN()
 	}
-	leaf := entryAddr(tablePPN, PTE, va)
+	leaf, f := as.tableEntry(tablePPN, PTE, va)
+	if f != nil {
+		return fmt.Errorf("mem: mapping %#x: %w", va, f)
+	}
 	as.phys.Write64(leaf, uint64(Entry(flags|FlagPresent).WithPPN(ppn)))
 	return nil
 }
@@ -207,7 +225,10 @@ func (as *AddressSpace) Walk(va Addr) (steps []WalkStep, err error) {
 	steps = make([]WalkStep, 0, int(PTE)+1)
 	tablePPN := as.root
 	for l := PGD; l <= PTE; l++ {
-		ea := entryAddr(tablePPN, l, va)
+		ea, f := as.tableEntry(tablePPN, l, va)
+		if f != nil {
+			return steps, f
+		}
 		e := Entry(as.phys.Read64(ea))
 		steps = append(steps, WalkStep{Level: l, EntryAddr: ea, Entry: e})
 		if !e.Present() {
@@ -225,12 +246,18 @@ func (as *AddressSpace) Walk(va Addr) (steps []WalkStep, err error) {
 func (as *AddressSpace) Translate(va Addr) (Addr, error) {
 	tablePPN := as.root
 	for l := PGD; l <= PTE; l++ {
-		ea := entryAddr(tablePPN, l, va)
+		ea, f := as.tableEntry(tablePPN, l, va)
+		if f != nil {
+			return 0, f
+		}
 		e := Entry(as.phys.Read64(ea))
 		if !e.Present() {
 			return 0, &Fault{VA: va, Level: l}
 		}
 		tablePPN = e.PPN()
+	}
+	if tablePPN >= as.phys.Frames() {
+		return 0, &Fault{VA: va, Level: PTE}
 	}
 	return tablePPN<<PageShift | PageOffset(va), nil
 }
@@ -242,14 +269,20 @@ func (as *AddressSpace) Translate(va Addr) (Addr, error) {
 func (as *AddressSpace) LeafEntry(va Addr) (Entry, Addr, error) {
 	tablePPN := as.root
 	for l := PGD; l < PTE; l++ {
-		ea := entryAddr(tablePPN, l, va)
+		ea, f := as.tableEntry(tablePPN, l, va)
+		if f != nil {
+			return 0, 0, f
+		}
 		e := Entry(as.phys.Read64(ea))
 		if !e.Present() {
 			return 0, 0, &Fault{VA: va, Level: l}
 		}
 		tablePPN = e.PPN()
 	}
-	ea := entryAddr(tablePPN, PTE, va)
+	ea, f := as.tableEntry(tablePPN, PTE, va)
+	if f != nil {
+		return 0, 0, f
+	}
 	return Entry(as.phys.Read64(ea)), ea, nil
 }
 

@@ -14,8 +14,11 @@ const maxDiffs = 64
 // human-readable line per difference ("path: a != b"), capped at
 // maxDiffs (a final "..." line marks truncation). Byte slices — the
 // physical-memory image — are summarized as differing ranges rather
-// than per-byte lines. An empty result means the snapshots are
-// structurally identical.
+// than per-byte lines. Slices of structs with a `snapdiff:"key"` integer
+// field (the sparse cache lines and TLB ways) are paired by that key,
+// not by position, so one extra entry is reported as "only in second"
+// under its key instead of shifting every entry after it. An empty
+// result means the snapshots are structurally identical.
 func Diff(a, b *Machine) []string {
 	d := &differ{}
 	d.walk("", reflect.ValueOf(a), reflect.ValueOf(b))
@@ -70,6 +73,9 @@ func (d *differ) walk(path string, a, b reflect.Value) {
 			d.diffBytes(path, a.Bytes(), b.Bytes())
 			return
 		}
+		if key, ok := keyField(a.Type().Elem()); ok && d.diffKeyed(path, a, b, key) {
+			return
+		}
 		if a.Len() != b.Len() {
 			d.add(path, "length %d != %d", a.Len(), b.Len())
 			return
@@ -110,6 +116,52 @@ func (d *differ) walk(path string, a, b reflect.Value) {
 			d.add(path, "%v != %v", av, bv)
 		}
 	}
+}
+
+// keyField returns the index of t's `snapdiff:"key"` field, when t is a
+// struct with an integer one.
+func keyField(t reflect.Type) (int, bool) {
+	if t.Kind() != reflect.Struct {
+		return 0, false
+	}
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		if f.Tag.Get("snapdiff") == "key" && f.Type.Kind() >= reflect.Int && f.Type.Kind() <= reflect.Int64 {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+// diffKeyed merges a and b in key order and reports each element found
+// on one side only and the fields that differ within each pair. It
+// returns false, reporting nothing, when a side's keys do not strictly
+// ascend (a malformed image), so that the caller pairs by position.
+func (d *differ) diffKeyed(path string, a, b reflect.Value, key int) bool {
+	k := func(v reflect.Value, i int) int64 { return v.Index(i).Field(key).Int() }
+	for _, v := range []reflect.Value{a, b} {
+		for i := 1; i < v.Len(); i++ {
+			if k(v, i) <= k(v, i-1) {
+				return false
+			}
+		}
+	}
+	at := func(k int64) string { return fmt.Sprintf("%s[%s=%d]", path, a.Type().Elem().Field(key).Name, k) }
+	i, j := 0, 0
+	for i < a.Len() || j < b.Len() {
+		switch {
+		case j == b.Len() || i < a.Len() && k(a, i) < k(b, j):
+			d.add(at(k(a, i)), "only in first")
+			i++
+		case i == a.Len() || k(b, j) < k(a, i):
+			d.add(at(k(b, j)), "only in second")
+			j++
+		default:
+			d.walk(at(k(a, i)), a.Index(i), b.Index(j))
+			i, j = i+1, j+1
+		}
+	}
+	return true
 }
 
 // diffBytes summarizes differing regions of two byte slices as

@@ -28,8 +28,11 @@ import (
 // Version is the snapshot format version. Bump it when any Snap struct
 // changes shape; Decode rejects mismatched versions instead of silently
 // mis-restoring state. Version 2 added the Jamais Vu detector state to
-// cpu.ContextSnap (JVEpoch/JVCounts, PR 9).
-const Version = 2
+// cpu.ContextSnap (JVEpoch/JVCounts). Version 3 stores the caches and
+// TLBs sparsely: cache.CacheSnap.Lines and tlb.TLBSnap.Ways hold only
+// the valid entries, each with its set*ways+way index, in place of one
+// record per line or way of capacity; ModuleState gained Failure.
+const Version = 3
 
 // RecipeState is the serializable state of one attack recipe. The
 // victim is identified by PID (process pointers are re-resolved against
@@ -74,11 +77,14 @@ type DecisionRecord struct {
 }
 
 // ModuleState is the serializable state of the MicroScope module.
+// Failure is the first fault-handler failure, empty while none has
+// occurred.
 type ModuleState struct {
 	Recipes       []RecipeState
 	Timeline      []TimelineState
 	Decisions     []DecisionRecord
 	DecisionCount uint64
+	Failure       string
 }
 
 // Machine is a whole-machine snapshot.

@@ -164,3 +164,45 @@ func TestRestoreSizeMismatch(t *testing.T) {
 		t.Error("restore into a smaller PhysMem succeeded")
 	}
 }
+
+// Sparse cache and TLB images list valid entries only. One extra line
+// must be reported under its own index, not as a length mismatch that
+// hides which line it is, and a changed line field by field.
+func TestDiffPairsSparseEntriesByIndex(t *testing.T) {
+	phys, core, k := testMachine(t)
+	a, err := Capture(phys, core, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	core.Hierarchy().L1D().Access(0x7000) // a line the program never touched
+	b, err := Capture(phys, core, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diffs := Diff(a, b)
+	want := "Core.Hier.L1D.Lines[Index="
+	if len(diffs) != 3 || !strings.HasPrefix(diffs[0], want) || !strings.HasSuffix(diffs[0], "]: only in second") {
+		t.Fatalf("extra line: diffs = %q, want %sN]: only in second, then the clock and miss count", diffs, want)
+	}
+	if diffs := Diff(b, a); !strings.HasSuffix(diffs[0], "]: only in first") {
+		t.Errorf("reversed: diffs = %q", diffs)
+	}
+	// A changed entry is diffed field by field under its index.
+	c, err := Capture(phys, core, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Core.TLBs.L2.Ways[0].Tr.PPN++
+	diffs = Diff(b, c)
+	if len(diffs) != 1 || !strings.Contains(diffs[0], "Core.TLBs.L2.Ways[Index=") || !strings.Contains(diffs[0], "].Tr.PPN: ") {
+		t.Errorf("changed TLB entry: diffs = %q", diffs)
+	}
+	// Keys that do not strictly ascend (a malformed image) are paired by
+	// position.
+	c.Core.TLBs.L2.Ways[0].Tr.PPN--
+	l := c.Core.Hier.L1D.Lines
+	l[0], l[1] = l[1], l[0]
+	if diffs := Diff(b, c); len(diffs) == 0 || !strings.HasPrefix(diffs[0], "Core.Hier.L1D.Lines[0].Index: ") {
+		t.Errorf("descending keys: diffs = %q", diffs)
+	}
+}

@@ -4,15 +4,18 @@ import "fmt"
 
 // Snapshot types for the checkpoint/restore subsystem (sim/snapshot).
 
-// WaySnap is one serializable TLB way.
+// WaySnap is one valid TLB entry. Index is set*WaysPerSet+way: the way
+// is kept so that Restore puts every entry back where it was, and a
+// following Snapshot reproduces the image exactly. snapshot.Diff pairs
+// entries by Index.
 type WaySnap struct {
-	Valid bool
+	Index int `snapdiff:"key"`
 	Tr    Translation
 	LRU   uint64
 }
 
-// TLBSnap is the serializable state of one TLB. Ways is set-major:
-// Ways[set*WaysPerSet+way].
+// TLBSnap is the serializable state of one TLB. Ways holds the valid
+// entries only, in ascending Index order.
 type TLBSnap struct {
 	Sets, WaysPerSet int
 	Ways             []WaySnap
@@ -21,44 +24,39 @@ type TLBSnap struct {
 	Misses           uint64
 }
 
-// Snapshot captures the TLB's full content and statistics.
+// Snapshot captures the TLB's valid entries and statistics.
 func (t *TLB) Snapshot() TLBSnap {
-	wps := 0
-	if len(t.sets) > 0 {
-		wps = len(t.sets[0])
-	}
 	s := TLBSnap{
-		Sets:       len(t.sets),
-		WaysPerSet: wps,
-		Ways:       make([]WaySnap, len(t.sets)*wps),
+		Sets:       t.nsets,
+		WaysPerSet: t.ways,
 		Clock:      t.clock,
 		Hits:       t.hits,
 		Misses:     t.misses,
 	}
-	for si, set := range t.sets {
-		for wi, w := range set {
-			s.Ways[si*wps+wi] = WaySnap{Valid: w.valid, Tr: w.tr, LRU: w.lru}
+	for _, set := range t.sets.Ascending() {
+		for wi, w := range t.sets.Ways(uint64(set)) {
+			if w.valid {
+				s.Ways = append(s.Ways, WaySnap{Index: int(set)*t.ways + wi, Tr: w.tr, LRU: w.lru})
+			}
 		}
 	}
 	return s
 }
 
 // Restore overwrites the TLB's state with a snapshot taken from a TLB of
-// the same geometry.
+// the same geometry. It checks the whole image before changing anything,
+// so a malformed one leaves the TLB as it was.
 func (t *TLB) Restore(s TLBSnap) error {
-	wps := 0
-	if len(t.sets) > 0 {
-		wps = len(t.sets[0])
+	if s.Sets != t.nsets || s.WaysPerSet != t.ways {
+		return fmt.Errorf("tlb %s: snapshot geometry %dx%d, have %dx%d",
+			t.name, s.Sets, s.WaysPerSet, t.nsets, t.ways)
 	}
-	if s.Sets != len(t.sets) || s.WaysPerSet != wps || len(s.Ways) != s.Sets*s.WaysPerSet {
-		return fmt.Errorf("tlb %s: snapshot geometry %dx%d (%d ways), have %dx%d",
-			t.name, s.Sets, s.WaysPerSet, len(s.Ways), len(t.sets), wps)
+	if err := t.sets.CheckIndices(len(s.Ways), func(i int) int { return s.Ways[i].Index }); err != nil {
+		return fmt.Errorf("tlb %s: snapshot way %w", t.name, err)
 	}
-	for si := range t.sets {
-		for wi := range t.sets[si] {
-			ws := s.Ways[si*wps+wi]
-			t.sets[si][wi] = way{valid: ws.Valid, tr: ws.Tr, lru: ws.LRU}
-		}
+	t.sets.Reset()
+	for _, w := range s.Ways {
+		t.sets.Place(w.Index, way{valid: true, tr: w.Tr, lru: w.LRU})
 	}
 	t.clock = s.Clock
 	t.hits = s.Hits

@@ -11,6 +11,7 @@ package tlb
 import (
 	"fmt"
 
+	"microscope/sim/internal/sparse"
 	"microscope/sim/mem"
 )
 
@@ -40,11 +41,14 @@ type way struct {
 	lru   uint64
 }
 
-// TLB is one set-associative translation buffer.
+// TLB is one set-associative translation buffer. Like cache.Cache it
+// stores its ways sparsely (sim/internal/sparse), so FlushPCID, FlushAll,
+// Len, Snapshot and Restore visit only the sets a run touched.
 type TLB struct {
 	name   string
-	sets   [][]way
-	nsets  uint64 //simlint:snapexempt derived geometry: len(sets), recomputed at construction; snapshots restore into a same-geometry TLB
+	nsets  int
+	ways   int
+	sets   sparse.Sets[way]
 	clock  uint64
 	hits   uint64
 	misses uint64
@@ -55,21 +59,18 @@ func New(name string, sets, ways int) *TLB {
 	if sets <= 0 || sets&(sets-1) != 0 || ways <= 0 {
 		panic(fmt.Sprintf("tlb %s: bad geometry %dx%d", name, sets, ways))
 	}
-	s := make([][]way, sets)
-	backing := make([]way, sets*ways)
-	for i := range s {
-		s[i], backing = backing[:ways], backing[ways:]
-	}
-	return &TLB{name: name, sets: s, nsets: uint64(sets)}
+	return &TLB{name: name, nsets: sets, ways: ways, sets: sparse.New[way](sets, ways)}
 }
 
-func (t *TLB) set(vpn uint64) []way { return t.sets[vpn%t.nsets] }
+// setOf returns the set vpn maps to.
+func (t *TLB) setOf(vpn uint64) uint64 { return vpn % uint64(t.nsets) }
 
 // Lookup returns the cached translation for (vpn, pcid), if present.
 func (t *TLB) Lookup(vpn uint64, pcid uint16) (Translation, bool) {
 	t.clock++
-	for i := range t.set(vpn) {
-		w := &t.set(vpn)[i]
+	set := t.sets.Ways(t.setOf(vpn))
+	for i := range set {
+		w := &set[i]
 		if w.valid && w.tr.VPN == vpn && w.tr.PCID == pcid {
 			w.lru = t.clock
 			t.hits++
@@ -83,7 +84,10 @@ func (t *TLB) Lookup(vpn uint64, pcid uint16) (Translation, bool) {
 // Insert caches tr, evicting the LRU way of its set if needed.
 func (t *TLB) Insert(tr Translation) {
 	t.clock++
-	set := t.set(tr.VPN)
+	set := t.sets.Ways(t.setOf(tr.VPN))
+	if set == nil {
+		set = t.sets.Alloc(t.setOf(tr.VPN))
+	}
 	victim := 0
 	for i := range set {
 		if set[i].valid && set[i].tr.VPN == tr.VPN && set[i].tr.PCID == tr.PCID {
@@ -103,8 +107,9 @@ func (t *TLB) Insert(tr Translation) {
 // Invalidate drops the entry for (vpn, pcid), reporting whether one
 // existed (INVLPG).
 func (t *TLB) Invalidate(vpn uint64, pcid uint16) bool {
-	for i := range t.set(vpn) {
-		w := &t.set(vpn)[i]
+	set := t.sets.Ways(t.setOf(vpn))
+	for i := range set {
+		w := &set[i]
 		if w.valid && w.tr.VPN == vpn && w.tr.PCID == pcid {
 			w.valid = false
 			return true
@@ -116,30 +121,25 @@ func (t *TLB) Invalidate(vpn uint64, pcid uint16) bool {
 // FlushPCID drops all entries of one context (MOV-to-CR3 without
 // PCID-preserving semantics, or enclave-boundary scrubbing).
 func (t *TLB) FlushPCID(pcid uint16) {
-	for s := range t.sets {
-		for i := range t.sets[s] {
-			if t.sets[s][i].valid && t.sets[s][i].tr.PCID == pcid {
-				t.sets[s][i].valid = false
+	for _, s := range t.sets.Live() {
+		set := t.sets.Ways(uint64(s))
+		for i := range set {
+			if set[i].valid && set[i].tr.PCID == pcid {
+				set[i].valid = false
 			}
 		}
 	}
 }
 
 // FlushAll drops every entry.
-func (t *TLB) FlushAll() {
-	for s := range t.sets {
-		for i := range t.sets[s] {
-			t.sets[s][i].valid = false
-		}
-	}
-}
+func (t *TLB) FlushAll() { t.sets.Reset() }
 
 // Len returns the number of valid entries.
 func (t *TLB) Len() int {
 	n := 0
-	for s := range t.sets {
-		for i := range t.sets[s] {
-			if t.sets[s][i].valid {
+	for _, s := range t.sets.Live() {
+		for _, w := range t.sets.Ways(uint64(s)) {
+			if w.valid {
 				n++
 			}
 		}
