@@ -1,6 +1,8 @@
-// Command microscope is the framework's exploration CLI. Subcommands map
-// to the paper's non-headline tables and figures:
+// Command microscope is the framework's CLI. Each subcommand reproduces
+// one of the paper's tables or figures:
 //
+//	fig10      — the §6.1 port-contention attack (Fig. 10), optionally as a sweep
+//	aes        — the Fig. 11 AES replays, the §6.2 extraction and a key-byte sweep
 //	table1     — print the Table 1 side-channel taxonomy
 //	table2     — demonstrate each Table 2 user-API operation
 //	timeline   — print the Fig. 3 Replayer/Victim timeline of a real attack
@@ -11,15 +13,23 @@
 //	denoise    — print the replay-count/confidence denoising curve
 //	baselines  — run the §2.4 prior attacks for comparison
 //	walk       — print a Fig. 2 four-level page-table walk
+//
+// Global flags go before the subcommand, and each is rejected by the
+// subcommands that do not read it. fig10 and aes take flags of their
+// own after their name; the other subcommands take no arguments:
+//
+//	microscope -workers 4 fig10 -trials 8
 package main
 
 import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"strings"
 
@@ -34,68 +44,106 @@ import (
 	"microscope/sim/trace"
 )
 
-// workers bounds the goroutines of subcommands that fan independent
-// simulations out as parallel sweeps (`baselines`, `tournament`,
-// `defenses`, `generalize`); any value yields identical output.
-var workers = flag.Int("workers", 0,
-	"parallel sweep workers (<=0: GOMAXPROCS); results are identical for any value")
+// The global flags. globalFlags binds them to a new flag set, so every
+// parse starts from their defaults.
+var (
+	// workers bounds the goroutines of subcommands that fan independent
+	// simulations out as parallel sweeps; any value yields identical
+	// output.
+	workers int
 
-// showStats, for subcommands that drive a single simulated core (table2,
-// timeline, execpath, walk), appends per-context pipeline statistics, the
-// fast-forward skip count and host allocation counters after the
-// subcommand's normal output.
-var showStats = flag.Bool("stats", false,
-	"print per-context pipeline statistics, fast-forward skip counts and host allocation counters after the run")
+	// showStats, for subcommands that drive a single simulated core
+	// (table2, timeline, execpath, walk), appends per-context pipeline
+	// statistics, the fast-forward skip count and host allocation
+	// counters after the subcommand's normal output.
+	showStats bool
 
-// Profiling hooks: the CLI doubles as the perf-work harness, so any
-// subcommand can be profiled directly instead of reconstructing its
-// workload in a benchmark.
-var cpuProfile = flag.String("cpuprofile", "",
-	"write a CPU profile of the whole run to this file (inspect with `go tool pprof`)")
+	// Profiling hooks: the CLI doubles as the perf-work harness, so any
+	// subcommand can be profiled directly instead of reconstructing its
+	// workload in a benchmark.
+	cpuProfile, memProfile string
 
-var memProfile = flag.String("memprofile", "",
-	"write a heap profile at command exit to this file (inspect with `go tool pprof`)")
+	// traceOut and showMetrics attach the sim/trace observability stack
+	// to subcommands that drive a single simulated core (table2,
+	// timeline, execpath): a Chrome Trace Event JSON of every
+	// instruction lifecycle, and deterministic aggregate pipeline
+	// metrics.
+	traceOut    string
+	showMetrics bool
 
-// traceOut and showMetrics attach the sim/trace observability stack to
-// subcommands that drive a single simulated core (table2, timeline,
-// execpath): a Chrome Trace Event JSON of every instruction lifecycle,
-// and deterministic aggregate pipeline metrics.
-var traceOut = flag.String("trace", "",
-	"write a Chrome Trace Event JSON of the run to this file (Perfetto-loadable; table2, timeline, execpath)")
+	// sanitize attaches the SpecSan shadow-taint engine (sim/sanitizer)
+	// to subcommands that drive a single simulated core: shadow state is
+	// seeded from the victim's secret declaration, transmit events are
+	// printed after the run with replay attribution, and -trace output
+	// gains a "specsan" track pinning each finding to its replay
+	// iteration.
+	sanitize bool
 
-var showMetrics = flag.Bool("metrics", false,
-	"print deterministic aggregate pipeline metrics after the run (table2, timeline, execpath)")
+	// Checkpointing flags (timeline subcommand). -checkpoint-every
+	// snapshots the whole machine (memory, core, kernel, module) on a
+	// fixed cycle period into an in-memory list; -reverse-to K then
+	// "steps backwards" by restoring the nearest checkpoint at or below
+	// cycle K and re-running forward to exactly K — deterministic replay
+	// makes the re-run bit-identical to the original pass through that
+	// cycle. -checkpoint-out writes the machine state at command exit as
+	// a gob image that tools/snapdiff can diff against another run's.
+	checkpointEvery, reverseTo uint64
+	checkpointOut              string
 
-// sanitize attaches the SpecSan shadow-taint engine (sim/sanitizer) to
-// subcommands that drive a single simulated core: shadow state is
-// seeded from the victim's secret declaration, transmit events are
-// printed after the run with replay attribution, and -trace output
-// gains a "specsan" track pinning each finding to its replay iteration.
-var sanitize = flag.Bool("sanitize", false,
-	"attach the SpecSan taint sanitizer and report secret-transmit events after the run (table2, timeline, execpath)")
+	// jsonOut switches the tournament subcommand from the rendered grids
+	// to the byte-deterministic JSON matrix — the exact bytes the golden
+	// test gates, so CI diffs and the committed testdata stay comparable.
+	jsonOut bool
+)
 
-// Checkpointing flags (timeline subcommand). -checkpoint-every snapshots
-// the whole machine (memory, core, kernel, module) on a fixed cycle
-// period into an in-memory list; -reverse-to K then "steps backwards" by
-// restoring the nearest checkpoint at or below cycle K and re-running
-// forward to exactly K — deterministic replay makes the re-run
-// bit-identical to the original pass through that cycle. -checkpoint-out
-// writes the machine state at command exit as a gob image that
-// tools/snapdiff can diff against another run's.
-var checkpointEvery = flag.Uint64("checkpoint-every", 0,
-	"snapshot the machine every N cycles during `timeline` (enables -reverse-to)")
+// globalFlags binds the global flags to a new flag set that reports to
+// errw.
+func globalFlags(errw io.Writer) *flag.FlagSet {
+	fs := flag.NewFlagSet("microscope", flag.ContinueOnError)
+	fs.SetOutput(errw)
+	fs.Usage = func() {
+		usage(errw)
+		fs.PrintDefaults()
+	}
+	fs.IntVar(&workers, "workers", 0,
+		"parallel sweep workers (<=0: GOMAXPROCS); results are identical for any value (generalize, defenses, tournament, baselines, fig10, aes)")
+	fs.BoolVar(&showStats, "stats", false,
+		"print per-context pipeline statistics, fast-forward skip counts and host allocation counters after the run (table2, timeline, execpath, walk)")
+	fs.StringVar(&cpuProfile, "cpuprofile", "",
+		"write a CPU profile of the whole run to this `file` (inspect with go tool pprof)")
+	fs.StringVar(&memProfile, "memprofile", "",
+		"write a heap profile at command exit to this `file` (inspect with go tool pprof)")
+	fs.StringVar(&traceOut, "trace", "",
+		"write a Chrome Trace Event JSON of the run to this `file` (Perfetto-loadable; table2, timeline, execpath)")
+	fs.BoolVar(&showMetrics, "metrics", false,
+		"print deterministic aggregate pipeline metrics after the run (table2, timeline, execpath)")
+	fs.BoolVar(&sanitize, "sanitize", false,
+		"attach the SpecSan taint sanitizer and report secret-transmit events after the run (table2, timeline, execpath)")
+	fs.Uint64Var(&checkpointEvery, "checkpoint-every", 0,
+		"snapshot the machine every `N` cycles during timeline (enables -reverse-to)")
+	fs.Uint64Var(&reverseTo, "reverse-to", 0,
+		"after timeline completes, restore the nearest checkpoint <= `K` and re-run to cycle K, then print the machine state (requires -checkpoint-every)")
+	fs.StringVar(&checkpointOut, "checkpoint-out", "",
+		"write the machine snapshot at timeline exit to this `file` (gob; diff two with tools/snapdiff)")
+	fs.BoolVar(&jsonOut, "json", false,
+		"print the tournament matrix as canonical JSON instead of rendered tables (tournament only)")
+	return fs
+}
 
-var reverseTo = flag.Uint64("reverse-to", 0,
-	"after `timeline` completes, restore the nearest checkpoint <= K and re-run to cycle K, then print the machine state (requires -checkpoint-every)")
-
-var checkpointOut = flag.String("checkpoint-out", "",
-	"write the machine snapshot at `timeline` exit to this file (gob; diff two with tools/snapdiff)")
-
-// jsonOut switches the tournament subcommand from the rendered grids to
-// the byte-deterministic JSON matrix — the exact bytes the golden test
-// gates, so CI diffs and the committed testdata stay comparable.
-var jsonOut = flag.Bool("json", false,
-	"print the tournament matrix as canonical JSON instead of rendered tables (`tournament` only)")
+// flagScope lists, for each global flag that only some subcommands
+// read, the subcommands that read it. -cpuprofile and -memprofile apply
+// to every subcommand.
+var flagScope = map[string][]string{
+	"workers":          {"generalize", "defenses", "tournament", "baselines", "fig10", "aes"},
+	"stats":            {"table2", "timeline", "execpath", "walk"},
+	"trace":            {"table2", "timeline", "execpath"},
+	"metrics":          {"table2", "timeline", "execpath"},
+	"sanitize":         {"table2", "timeline", "execpath"},
+	"json":             {"tournament"},
+	"checkpoint-every": {"timeline"},
+	"reverse-to":       {"timeline"},
+	"checkpoint-out":   {"timeline"},
+}
 
 // observers is the tracer stack the -trace/-metrics flags request.
 type observers struct {
@@ -109,7 +157,7 @@ type observers struct {
 // without touching the core when -sanitize is unset, preserving the
 // zero-overhead-when-off guarantee.
 func (o *observers) attachSanitizer(rig *experiments.Rig, l *victim.Layout) error {
-	if !*sanitize {
+	if !sanitize {
 		return nil
 	}
 	san := sanitizer.New(rig.Core, sanitizer.DefaultConfig())
@@ -132,11 +180,11 @@ func (o *observers) attachSanitizer(rig *experiments.Rig, l *victim.Layout) erro
 func attachObservers(core *cpu.Core) *observers {
 	o := &observers{}
 	var sinks []cpu.Tracer
-	if *traceOut != "" {
+	if traceOut != "" {
 		o.col = trace.NewCollector(0)
 		sinks = append(sinks, o.col)
 	}
-	if *showMetrics {
+	if showMetrics {
 		o.met = trace.NewMetrics()
 		o.met.ROBSize = core.Config().ROBSize
 		sinks = append(sinks, o.met)
@@ -149,13 +197,13 @@ func attachObservers(core *cpu.Core) *observers {
 // module timeline), writes the Chrome trace (annotated with the
 // module's replay timeline and the specsan track), and prints the
 // metrics block.
-func (o *observers) finish(mod *microscope.Module) error {
+func (o *observers) finish(out io.Writer, mod *microscope.Module) error {
 	if o.san != nil {
 		o.san.Flush()
 		if mod != nil {
 			o.san.AttributeReplays(experiments.ReplayWindows(mod.Timeline()))
 		}
-		printSanitizerFindings(o.san)
+		printSanitizerFindings(out, o.san)
 	}
 	if o.col != nil {
 		var anns []trace.Annotation
@@ -165,7 +213,7 @@ func (o *observers) finish(mod *microscope.Module) error {
 		if o.san != nil {
 			anns = append(anns, o.san.Annotations()...)
 		}
-		f, err := os.Create(*traceOut)
+		f, err := os.Create(traceOut)
 		if err != nil {
 			return err
 		}
@@ -176,21 +224,21 @@ func (o *observers) finish(mod *microscope.Module) error {
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("wrote Chrome trace to %s (open in Perfetto or chrome://tracing)\n", *traceOut)
+		fmt.Fprintf(out, "wrote Chrome trace to %s (open in Perfetto or chrome://tracing)\n", traceOut)
 	}
 	if o.met != nil {
-		fmt.Println("\n-- pipeline metrics --")
-		fmt.Print(o.met.Text())
+		fmt.Fprintln(out, "\n-- pipeline metrics --")
+		fmt.Fprint(out, o.met.Text())
 	}
 	return nil
 }
 
 // printSanitizerFindings renders the SpecSan transmit-finding block.
-func printSanitizerFindings(san *sanitizer.Sanitizer) {
-	fmt.Println("\n-- SpecSan transmit findings --")
+func printSanitizerFindings(out io.Writer, san *sanitizer.Sanitizer) {
+	fmt.Fprintln(out, "\n-- SpecSan transmit findings --")
 	fs := san.Findings()
 	if len(fs) == 0 {
-		fmt.Println("none: no tainted data reached an observable channel")
+		fmt.Fprintln(out, "none: no tainted data reached an observable channel")
 		return
 	}
 	for _, f := range fs {
@@ -198,7 +246,7 @@ func printSanitizerFindings(san *sanitizer.Sanitizer) {
 		if f.Implicit {
 			flow = "implicit"
 		}
-		fmt.Printf("@%-4d %-24s %-15s %-9s transient %d/%d instances, %d replay window(s), taint %v\n",
+		fmt.Fprintf(out, "@%-4d %-24s %-15s %-9s transient %d/%d instances, %d replay window(s), taint %v\n",
 			f.PC, f.Instr, f.Channel, flow, f.Transient, f.Count, f.Replays, san.AtomLabels(f.Taint))
 	}
 }
@@ -206,8 +254,8 @@ func printSanitizerFindings(san *sanitizer.Sanitizer) {
 // printStats renders the post-run statistics block for core. The host
 // allocation figures come from the Go runtime and naturally vary between
 // machines; everything above them is deterministic simulation state.
-func printStats(core *cpu.Core) {
-	if !*showStats {
+func printStats(out io.Writer, core *cpu.Core) {
+	if !showStats {
 		return
 	}
 	cycles := core.Cycle()
@@ -216,81 +264,175 @@ func printStats(core *cpu.Core) {
 	if cycles > 0 {
 		pct = 100 * float64(skipped) / float64(cycles)
 	}
-	fmt.Println("\n-- simulation statistics --")
-	fmt.Printf("core:  cycles=%d fast-forwarded=%d (%.1f%%)\n", cycles, skipped, pct)
+	fmt.Fprintln(out, "\n-- simulation statistics --")
+	fmt.Fprintf(out, "core:  cycles=%d fast-forwarded=%d (%.1f%%)\n", cycles, skipped, pct)
 	for i := 0; i < core.Contexts(); i++ {
 		ctx := core.Context(i)
 		if ctx.Program() == nil {
 			continue
 		}
 		s := ctx.Stats()
-		fmt.Printf("ctx%d:  fetched=%d retired=%d squashed=%d faults=%d txaborts=%d\n",
+		fmt.Fprintf(out, "ctx%d:  fetched=%d retired=%d squashed=%d faults=%d txaborts=%d\n",
 			i, s.Fetched, s.Retired, s.Squashed, s.PageFaults, s.TxAborts)
-		fmt.Printf("       mispredicts=%d memorder=%d stall-cycles=%d skipped-cycles=%d\n",
+		fmt.Fprintf(out, "       mispredicts=%d memorder=%d stall-cycles=%d skipped-cycles=%d\n",
 			s.Mispredicts, s.MemOrderViolations, s.StallCycles, s.SkippedCycles)
 	}
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	fmt.Printf("host:  heap-allocs=%d heap-bytes=%d gc-cycles=%d\n",
+	fmt.Fprintf(out, "host:  heap-allocs=%d heap-bytes=%d gc-cycles=%d\n",
 		ms.Mallocs, ms.TotalAlloc, ms.NumGC)
 }
 
-func main() {
-	flag.Usage = func() {
-		usage()
-		flag.PrintDefaults()
-	}
-	flag.Parse()
-	if flag.NArg() < 1 {
-		usage()
-		os.Exit(2)
-	}
-	if err := checkFlags(flag.Arg(0)); err != nil {
-		fmt.Fprintln(os.Stderr, "microscope:", err)
-		os.Exit(2)
-	}
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "microscope:", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "microscope:", err)
-			os.Exit(1)
-		}
-	}
-	err := dispatch(flag.Arg(0))
-	if *cpuProfile != "" {
-		pprof.StopCPUProfile()
-		fmt.Fprintf(os.Stderr, "wrote CPU profile to %s\n", *cpuProfile)
-	}
-	if *memProfile != "" {
-		if werr := writeHeapProfile(*memProfile); werr != nil && err == nil {
-			err = werr
-		}
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "microscope:", err)
-		os.Exit(1)
-	}
+// commands are the subcommands that take no arguments; fig10 and aes
+// parse their own flags (parseFig10, parseAES).
+var commands = map[string]func(io.Writer) error{
+	"table1":     runTable1,
+	"table2":     runTable2,
+	"timeline":   runTimeline,
+	"execpath":   runExecPath,
+	"generalize": runGeneralize,
+	"defenses":   runDefenses,
+	"tournament": runTournament,
+	"denoise":    runDenoise,
+	"baselines":  runBaselines,
+	"walk":       runWalk,
 }
 
-// checkFlags rejects flag combinations that cannot work for subcommand
-// cmd, before anything runs.
-func checkFlags(cmd string) error {
-	if cmd != "timeline" && (*checkpointEvery != 0 || *reverseTo != 0 || *checkpointOut != "") {
-		return errors.New("-checkpoint-every/-reverse-to/-checkpoint-out only apply to the timeline subcommand")
+// errReported is a usage error already written to the error stream,
+// such as a malformed flag the flag package reported with the usage.
+var errReported = errors.New("usage error reported")
+
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command line. It parses argv, then runs the
+// subcommand, which writes its report to out. Usage errors exit 2
+// before anything runs; a failed run exits 1.
+func run(argv []string, out, errw io.Writer) int {
+	cmd, err := parse(argv, errw)
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.Is(err, errReported):
+		return 2
+	case err != nil:
+		fmt.Fprintln(errw, "microscope:", err)
+		return 2
 	}
-	if *reverseTo != 0 && *checkpointEvery == 0 {
+	if err := profiled(cmd, out, errw); err != nil {
+		fmt.Fprintln(errw, "microscope:", err)
+		return 1
+	}
+	return 0
+}
+
+// parse parses the global flags, the subcommand's name and the
+// subcommand's own arguments, and returns the subcommand ready to run.
+func parse(argv []string, errw io.Writer) (func(io.Writer) error, error) {
+	fs := globalFlags(errw)
+	if err := parseFlags(fs, argv); err != nil {
+		return nil, err
+	}
+	if fs.NArg() == 0 {
+		usage(errw)
+		return nil, errReported
+	}
+	name, args := fs.Arg(0), fs.Args()[1:]
+	var cmd func(io.Writer) error
+	switch name {
+	case "fig10":
+		o, err := parseFig10(args, errw)
+		if err != nil {
+			return nil, err
+		}
+		cmd = o.run
+	case "aes":
+		o, err := parseAES(args, errw)
+		if err != nil {
+			return nil, err
+		}
+		cmd = o.run
+	default:
+		cmd = commands[name]
+		if cmd == nil {
+			usage(errw)
+			return nil, fmt.Errorf("unknown subcommand %q", name)
+		}
+		if err := noArgs(name, args); err != nil {
+			return nil, err
+		}
+	}
+	var set []string
+	fs.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	if err := checkFlags(name, set); err != nil {
+		return nil, err
+	}
+	return cmd, nil
+}
+
+// parseFlags parses args into fs. The flag package has already reported
+// a malformed flag, with the usage, so that comes back as errReported.
+func parseFlags(fs *flag.FlagSet, args []string) error {
+	err := fs.Parse(args)
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		return errReported
+	}
+	return err
+}
+
+// noArgs rejects any argument left after subcommand name and its flags,
+// naming the first.
+func noArgs(name string, args []string) error {
+	if len(args) > 0 {
+		return fmt.Errorf("%s: unexpected argument %q", name, args[0])
+	}
+	return nil
+}
+
+// checkFlags rejects a global flag in set that subcommand cmd does not
+// read, and flag combinations that cannot work, before anything runs.
+func checkFlags(cmd string, set []string) error {
+	for _, name := range set {
+		if cmds, ok := flagScope[name]; ok && !slices.Contains(cmds, cmd) {
+			return fmt.Errorf("-%s does not apply to %s (only %s)", name, cmd, strings.Join(cmds, ", "))
+		}
+	}
+	if reverseTo != 0 && checkpointEvery == 0 {
 		return errors.New("-reverse-to requires -checkpoint-every")
 	}
 	return nil
 }
 
+// profiled runs cmd under the -cpuprofile and -memprofile hooks.
+func profiled(cmd func(io.Writer) error, out, errw io.Writer) error {
+	var cpuFile *os.File
+	if cpuProfile != "" {
+		f, err := os.Create(cpuProfile)
+		if err != nil {
+			return err
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return err
+		}
+		cpuFile = f
+	}
+	err := cmd(out)
+	if cpuFile != nil {
+		pprof.StopCPUProfile()
+		err = errors.Join(err, cpuFile.Close())
+		fmt.Fprintf(errw, "wrote CPU profile to %s\n", cpuProfile)
+	}
+	if memProfile != "" {
+		err = errors.Join(err, writeHeapProfile(memProfile, errw))
+	}
+	return err
+}
+
 // writeHeapProfile snapshots the heap (after a GC, so the profile shows
 // live data rather than collectible garbage) into path.
-func writeHeapProfile(path string) error {
+func writeHeapProfile(path string, errw io.Writer) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -303,48 +445,25 @@ func writeHeapProfile(path string) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "wrote heap profile to %s\n", path)
+	fmt.Fprintf(errw, "wrote heap profile to %s\n", path)
 	return nil
 }
 
-// dispatch runs the named subcommand.
-func dispatch(cmd string) error {
-	var err error
-	switch cmd {
-	case "table1":
-		fmt.Print(sidechan.FormatTable1(sidechan.Table1()))
-	case "table2":
-		err = runTable2()
-	case "timeline":
-		err = runTimeline()
-	case "execpath":
-		err = runExecPath()
-	case "generalize":
-		err = runGeneralize()
-	case "defenses":
-		err = runDefenses()
-	case "tournament":
-		err = runTournament()
-	case "denoise":
-		err = runDenoise()
-	case "baselines":
-		err = runBaselines()
-	case "walk":
-		err = runWalk()
-	default:
-		usage()
-		os.Exit(2)
-	}
-	return err
+// usage prints the command's synopsis.
+func usage(w io.Writer) {
+	fmt.Fprintln(w, `usage: microscope [-workers N] [-stats] [-cpuprofile f] [-memprofile f] [-sanitize] [-trace out.json] [-metrics] [-json] [-checkpoint-every N] [-reverse-to K] [-checkpoint-out img.gob] <table1|table2|timeline|execpath|generalize|defenses|tournament|denoise|baselines|walk>
+       microscope [global flags] fig10 [-samples N] [-cont N] [-handler cycles] [-walk levels] [-hist=false] [-trials N]
+       microscope [global flags] aes [-key K] [-pt P] [-full=false] [-keysweep N]`)
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr,
-		"usage: microscope [-workers N] [-stats] [-cpuprofile f] [-memprofile f] [-sanitize] [-trace out.json] [-metrics] [-json] [-checkpoint-every N] [-reverse-to K] [-checkpoint-out img.gob] <table1|table2|timeline|execpath|generalize|defenses|tournament|denoise|baselines|walk>")
+// runTable1 prints the Table 1 side-channel taxonomy.
+func runTable1(out io.Writer) error {
+	fmt.Fprint(out, sidechan.FormatTable1(sidechan.Table1()))
+	return nil
 }
 
 // runTable2 exercises the five Table 2 operations against a live victim.
-func runTable2() error {
+func runTable2(out io.Writer) error {
 	rig, err := experiments.NewRig(cpu.DefaultConfig())
 	if err != nil {
 		return err
@@ -358,18 +477,18 @@ func runTable2() error {
 		return err
 	}
 	u := rig.Module.User(rig.Victim)
-	fmt.Println("Table 2 — MicroScope user API")
-	fmt.Printf("provide_replay_handle(%#x)\n", l.Sym("handle"))
+	fmt.Fprintln(out, "Table 2 — MicroScope user API")
+	fmt.Fprintf(out, "provide_replay_handle(%#x)\n", l.Sym("handle"))
 	u.ProvideReplayHandle(l.Sym("handle"))
-	fmt.Printf("provide_pivot(%#x)\n", l.Sym("pivot"))
+	fmt.Fprintf(out, "provide_pivot(%#x)\n", l.Sym("pivot"))
 	u.ProvidePivot(l.Sym("pivot"))
-	fmt.Printf("provide_monitor_addr(%#x)\n", l.Sym("probe"))
+	fmt.Fprintf(out, "provide_monitor_addr(%#x)\n", l.Sym("probe"))
 	u.ProvideMonitorAddr(l.Sym("probe"))
-	fmt.Printf("initiate_page_walk(%#x, 2)\n", l.Sym("probe"))
+	fmt.Fprintf(out, "initiate_page_walk(%#x, 2)\n", l.Sym("probe"))
 	if err := u.InitiatePageWalk(l.Sym("probe"), 2); err != nil {
 		return err
 	}
-	fmt.Printf("initiate_page_fault(%#x)\n", l.Sym("handle"))
+	fmt.Fprintf(out, "initiate_page_fault(%#x)\n", l.Sym("handle"))
 	u.Recipe().MaxReplays = 5
 	if err := u.InitiatePageFault(l.Sym("handle")); err != nil {
 		return err
@@ -378,17 +497,17 @@ func runTable2() error {
 	if err := rig.Run(20_000_000); err != nil {
 		return err
 	}
-	fmt.Printf("-> victim replayed %d times, then released; victim finished: %t\n",
+	fmt.Fprintf(out, "-> victim replayed %d times, then released; victim finished: %t\n",
 		u.Recipe().Replays(), rig.Core.Context(0).Halted())
-	if err := obs.finish(rig.Module); err != nil {
+	if err := obs.finish(out, rig.Module); err != nil {
 		return err
 	}
-	printStats(rig.Core)
+	printStats(out, rig.Core)
 	return nil
 }
 
 // runTimeline reproduces the Fig. 3 interleaving on a live attack.
-func runTimeline() error {
+func runTimeline(out io.Writer) error {
 	rig, err := experiments.NewRig(cpu.DefaultConfig())
 	if err != nil {
 		return err
@@ -411,23 +530,23 @@ func runTimeline() error {
 		return err
 	}
 	l.Start(rig.Kernel, 0)
-	checkpoints, err := runCheckpointed(rig, 10_000_000)
+	checkpoints, err := runCheckpointed(out, rig, 10_000_000)
 	if err != nil {
 		return err
 	}
-	fmt.Println("Figure 3 — replayer/victim timeline (cycles are simulated)")
-	fmt.Print(microscope.FormatTimeline(rig.Module.Timeline()))
-	if err := obs.finish(rig.Module); err != nil {
+	fmt.Fprintln(out, "Figure 3 — replayer/victim timeline (cycles are simulated)")
+	fmt.Fprint(out, microscope.FormatTimeline(rig.Module.Timeline()))
+	if err := obs.finish(out, rig.Module); err != nil {
 		return err
 	}
-	printStats(rig.Core)
-	if *reverseTo > 0 {
-		if err := reverseStep(rig, checkpoints, *reverseTo); err != nil {
+	printStats(out, rig.Core)
+	if reverseTo > 0 {
+		if err := reverseStep(out, rig, checkpoints, reverseTo); err != nil {
 			return err
 		}
 	}
-	if *checkpointOut != "" {
-		if err := writeCheckpoint(rig, *checkpointOut); err != nil {
+	if checkpointOut != "" {
+		if err := writeCheckpoint(out, rig, checkpointOut); err != nil {
 			return err
 		}
 	}
@@ -445,8 +564,8 @@ type cycleCheckpoint struct {
 // machine after each (plus a cycle-0 baseline); the chunked run is
 // bit-identical to an unchunked one (Run resumes exactly where it
 // stopped, and taking a snapshot does not perturb machine state).
-func runCheckpointed(rig *experiments.Rig, budget uint64) ([]cycleCheckpoint, error) {
-	every := *checkpointEvery
+func runCheckpointed(out io.Writer, rig *experiments.Rig, budget uint64) ([]cycleCheckpoint, error) {
+	every := checkpointEvery
 	if every == 0 {
 		return nil, rig.Run(budget)
 	}
@@ -476,7 +595,7 @@ func runCheckpointed(rig *experiments.Rig, budget uint64) ([]cycleCheckpoint, er
 	if !rig.Core.Halted() {
 		return nil, fmt.Errorf("run exceeded %d cycles", budget)
 	}
-	fmt.Printf("(%d checkpoints taken, every %d cycles)\n", len(cps), every)
+	fmt.Fprintf(out, "(%d checkpoints taken, every %d cycles)\n", len(cps), every)
 	return cps, nil
 }
 
@@ -484,7 +603,7 @@ func runCheckpointed(rig *experiments.Rig, budget uint64) ([]cycleCheckpoint, er
 // cycle and deterministically re-runs forward to it — the "step
 // backwards to cycle k-1" debugging move a forward-only simulator
 // cannot otherwise make.
-func reverseStep(rig *experiments.Rig, cps []cycleCheckpoint, target uint64) error {
+func reverseStep(out io.Writer, rig *experiments.Rig, cps []cycleCheckpoint, target uint64) error {
 	var best *cycleCheckpoint
 	for i := range cps {
 		if cps[i].Cycle <= target && (best == nil || cps[i].Cycle > best.Cycle) {
@@ -500,7 +619,7 @@ func reverseStep(rig *experiments.Rig, cps []cycleCheckpoint, target uint64) err
 	if target > best.Cycle {
 		rig.Core.Run(target - best.Cycle)
 	}
-	fmt.Printf("\n-- reverse-step: restored cycle-%d checkpoint, re-ran to cycle %d --\n",
+	fmt.Fprintf(out, "\n-- reverse-step: restored cycle-%d checkpoint, re-ran to cycle %d --\n",
 		best.Cycle, rig.Core.Cycle())
 	for i := 0; i < rig.Core.Contexts(); i++ {
 		ctx := rig.Core.Context(i)
@@ -508,7 +627,7 @@ func reverseStep(rig *experiments.Rig, cps []cycleCheckpoint, target uint64) err
 			continue
 		}
 		s := ctx.Stats()
-		fmt.Printf("ctx%d: pc=%d halted=%t retired=%d faults=%d\n",
+		fmt.Fprintf(out, "ctx%d: pc=%d halted=%t retired=%d faults=%d\n",
 			i, ctx.PC(), ctx.Halted(), s.Retired, s.PageFaults)
 	}
 	return nil
@@ -516,7 +635,7 @@ func reverseStep(rig *experiments.Rig, cps []cycleCheckpoint, target uint64) err
 
 // writeCheckpoint snapshots the rig as it stands and writes the gob
 // image tools/snapdiff consumes.
-func writeCheckpoint(rig *experiments.Rig, path string) error {
+func writeCheckpoint(out io.Writer, rig *experiments.Rig, path string) error {
 	cp, err := rig.Checkpoint()
 	if err != nil {
 		return err
@@ -532,13 +651,13 @@ func writeCheckpoint(rig *experiments.Rig, path string) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fmt.Printf("wrote machine snapshot to %s (compare two with tools/snapdiff)\n", path)
+	fmt.Fprintf(out, "wrote machine snapshot to %s (compare two with tools/snapdiff)\n", path)
 	return nil
 }
 
 // runExecPath narrates the Fig. 9 execution path of a single intercepted
 // fault.
-func runExecPath() error {
+func runExecPath(out io.Writer) error {
 	rig, err := experiments.NewRig(cpu.DefaultConfig())
 	if err != nil {
 		return err
@@ -572,20 +691,20 @@ func runExecPath() error {
 	if err := rig.Run(10_000_000); err != nil {
 		return err
 	}
-	fmt.Println("Figure 9 — execution path of a MicroScope attack")
-	fmt.Println("1. application issues the replay-handle access (virtual address)")
-	fmt.Println("2. MMU raises a page fault; control enters the OS")
-	fmt.Println("3. page-fault handler classifies the fault (present bit clear)")
+	fmt.Fprintln(out, "Figure 9 — execution path of a MicroScope attack")
+	fmt.Fprintln(out, "1. application issues the replay-handle access (virtual address)")
+	fmt.Fprintln(out, "2. MMU raises a page fault; control enters the OS")
+	fmt.Fprintln(out, "3. page-fault handler classifies the fault (present bit clear)")
 	for _, s := range steps {
-		fmt.Println(s)
+		fmt.Fprintln(out, s)
 	}
-	fmt.Println("6. page-fault handler completes")
-	fmt.Printf("7. control returns to the application (victim finished: %t)\n",
+	fmt.Fprintln(out, "6. page-fault handler completes")
+	fmt.Fprintf(out, "7. control returns to the application (victim finished: %t)\n",
 		rig.Core.Context(0).Halted())
-	if err := obs.finish(rig.Module); err != nil {
+	if err := obs.finish(out, rig.Module); err != nil {
 		return err
 	}
-	printStats(rig.Core)
+	printStats(out, rig.Core)
 	return nil
 }
 
@@ -609,38 +728,38 @@ var (
 
 // runGeneralize prints the Fig. 12 replay-handle classes as tournament
 // cells, then runs the §7.2 RDRAND bias attack with and without the fence.
-func runGeneralize() error {
-	fmt.Println("Figure 12 — generalized microarchitectural replay attacks (tournament cells)")
-	if err := printCells(generalizeRoster); err != nil {
+func runGeneralize(out io.Writer) error {
+	fmt.Fprintln(out, "Figure 12 — generalized microarchitectural replay attacks (tournament cells)")
+	if err := printCells(out, generalizeRoster); err != nil {
 		return err
 	}
-	fmt.Println("\n§7.2 — RDRAND bias (integrity attack)")
+	fmt.Fprintln(out, "\n§7.2 — RDRAND bias (integrity attack)")
 	for _, fenced := range []bool{false, true} {
 		r, err := experiments.RunRDRANDBias(1, 100, fenced)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("fenced=%-5t observed=%-5t biased=%-5t windows=%d finalBit=%d\n",
+		fmt.Fprintf(out, "fenced=%-5t observed=%-5t biased=%-5t windows=%d finalBit=%d\n",
 			fenced, r.Observed, r.Achieved, r.Windows, r.FinalLowBit)
 	}
 	return nil
 }
 
 // runDefenses prints the §8 countermeasures as tournament cells.
-func runDefenses() error {
-	fmt.Println("§8 — countermeasure evaluation (tournament cells)")
-	return printCells(defensesRoster)
+func runDefenses(out io.Writer) error {
+	fmt.Fprintln(out, "§8 — countermeasure evaluation (tournament cells)")
+	return printCells(out, defensesRoster)
 }
 
 // printCells runs the tournament restricted to roster and prints every
 // cell and control row it produced.
-func printCells(roster experiments.TournamentOptions) error {
-	roster.Workers = *workers
+func printCells(out io.Writer, roster experiments.TournamentOptions) error {
+	roster.Workers = workers
 	m, err := experiments.RunTournament(roster)
 	if err != nil {
 		return err
 	}
-	fmt.Print(renderCells(m))
+	fmt.Fprint(out, renderCells(m))
 	return nil
 }
 
@@ -681,52 +800,52 @@ func renderCells(m *experiments.TournamentMatrix) string {
 // crossed with every replay-handle class and every roster defense, forked
 // from per-victim warm checkpoints. Output is the rendered grids (or the
 // canonical JSON under -json), byte-identical for any -workers value.
-func runTournament() error {
-	m, err := experiments.RunTournament(experiments.TournamentOptions{Workers: *workers})
+func runTournament(out io.Writer) error {
+	m, err := experiments.RunTournament(experiments.TournamentOptions{Workers: workers})
 	if err != nil {
 		return err
 	}
-	if *jsonOut {
+	if jsonOut {
 		b, err := m.JSON()
 		if err != nil {
 			return err
 		}
-		fmt.Print(string(b))
+		fmt.Fprint(out, string(b))
 		return nil
 	}
-	fmt.Print(m.Render())
+	fmt.Fprint(out, m.Render())
 	return nil
 }
 
 // runBaselines runs the §2.4 prior attacks for comparison.
-func runBaselines() error {
-	fmt.Println("§2.4 baselines — the attacks MicroScope improves on")
+func runBaselines(out io.Writer) error {
+	fmt.Fprintln(out, "§2.4 baselines — the attacks MicroScope improves on")
 	cc, err := baseline.RunControlledChannel(true)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("controlled channel [60]: page secret recovered=%t, line secret visible=%t (page granularity)\n",
+	fmt.Fprintf(out, "controlled channel [60]: page secret recovered=%t, line secret visible=%t (page granularity)\n",
 		cc.PageSecretCorrect, cc.LineSecretVisible)
 	spm, err := baseline.RunSPM(true)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("sneaky page monitoring [58]: page secret recovered=%t, victim saw faults=%t\n",
+	fmt.Fprintf(out, "sneaky page monitoring [58]: page secret recovered=%t, victim saw faults=%t\n",
 		spm.PageSecretCorrect, spm.VictimObservedFault)
-	pp, err := baseline.RunPrimeProbe([]byte("0123456789abcdef"), []byte("attack at dawn!!"), 0.2, 150, 7, *workers)
+	pp, err := baseline.RunPrimeProbe([]byte("0123456789abcdef"), []byte("attack at dawn!!"), 0.2, 150, 7, workers)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("multi-run prime+probe [9,18]: single noisy trace correct=%t, traces to stability=%d, per-round resolution=%t\n",
+	fmt.Fprintf(out, "multi-run prime+probe [9,18]: single noisy trace correct=%t, traces to stability=%d, per-round resolution=%t\n",
 		pp.SingleRunObserved == pp.UnionTruth, pp.TracesTo99, pp.PerRoundResolved)
-	fmt.Println("(compare: MicroScope recovers exact per-round sets in ONE logical run — cmd/aesattack)")
+	fmt.Fprintln(out, "(compare: MicroScope recovers exact per-round sets in ONE logical run — microscope aes)")
 	return nil
 }
 
 // runWalk prints the Fig. 2 page-table walk of an address, with the cache
 // level serving each level and the resulting walk latency under the
 // §4.1.2 tuning extremes.
-func runWalk() error {
+func runWalk(out io.Writer) error {
 	rig, err := experiments.NewRig(cpu.DefaultConfig())
 	if err != nil {
 		return err
@@ -740,12 +859,12 @@ func runWalk() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("Figure 2 — page-table walk for va=%#x (CR3 ppn=%#x)\n\n",
+	fmt.Fprintf(out, "Figure 2 — page-table walk for va=%#x (CR3 ppn=%#x)\n\n",
 		va, rig.Victim.AddressSpace().Root())
 	for _, s := range steps {
-		fmt.Printf("%-4s entry at pa=%#x  ->  %s\n", s.Level, s.EntryAddr, s.Entry)
+		fmt.Fprintf(out, "%-4s entry at pa=%#x  ->  %s\n", s.Level, s.EntryAddr, s.Entry)
 	}
-	fmt.Println("\nwalk-duration tuning (§4.1.2): victim-observed fault delay by levels flushed")
+	fmt.Fprintln(out, "\nwalk-duration tuning (§4.1.2): victim-observed fault delay by levels flushed")
 	for levels := 1; levels <= 4; levels++ {
 		r2, err := experiments.NewRig(cpu.DefaultConfig())
 		if err != nil {
@@ -772,26 +891,26 @@ func runWalk() error {
 		if err := r2.Run(10_000_000); err != nil {
 			return err
 		}
-		fmt.Printf("  %d level(s) from memory: fault delivered after %d cycles\n",
+		fmt.Fprintf(out, "  %d level(s) from memory: fault delivered after %d cycles\n",
 			levels, faultCycle-start)
-		printStats(r2.Core)
+		printStats(out, r2.Core)
 	}
 	return nil
 }
 
 // runDenoise prints the replays-to-confidence curve and the channel's
 // information-theoretic quality.
-func runDenoise() error {
-	fmt.Println("denoising — majority-vote confidence vs replay count")
+func runDenoise(out io.Writer) error {
+	fmt.Fprintln(out, "denoising — majority-vote confidence vs replay count")
 	for _, secret := range []bool{false, true} {
 		res, err := experiments.RunDenoise(secret, 15)
 		if err != nil {
 			return err
 		}
 		rep := sidechan.AnalyzeReplayChannel(res.Observations, res.Truth)
-		fmt.Printf("secret=%-5t verdict=%-5t replays-to-90%%=%d observations=%v\n",
+		fmt.Fprintf(out, "secret=%-5t verdict=%-5t replays-to-90%%=%d observations=%v\n",
 			secret, res.Verdict, res.ReplaysTo90, res.Observations)
-		fmt.Printf("            error-rate=%.2f bits/replay=%.2f replays-for-1e-3=%d\n",
+		fmt.Fprintf(out, "            error-rate=%.2f bits/replay=%.2f replays-for-1e-3=%d\n",
 			rep.ErrorRate, rep.BitsPerReplay, rep.ReplaysFor1e3)
 	}
 	return nil

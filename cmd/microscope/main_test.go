@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -62,15 +63,15 @@ func TestProjectionsEqualGoldenCells(t *testing.T) {
 func TestTimelineTraceFlagEmitsValidChrome(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "out.json")
-
-	oldTrace, oldMetrics := *traceOut, *showMetrics
-	defer func() { *traceOut, *showMetrics = oldTrace, oldMetrics }()
-	*traceOut = out
-	*showMetrics = true
-
-	if err := runTimeline(); err != nil {
-		t.Fatal(err)
+	timeline := func(traceFile string) {
+		t.Helper()
+		var stdout, errw bytes.Buffer
+		if code := run([]string{"-trace", traceFile, "-metrics", "timeline"}, &stdout, &errw); code != 0 {
+			t.Fatalf("exit code %d: %s", code, errw.String())
+		}
 	}
+
+	timeline(out)
 	data, err := os.ReadFile(out)
 	if err != nil {
 		t.Fatal(err)
@@ -85,10 +86,7 @@ func TestTimelineTraceFlagEmitsValidChrome(t *testing.T) {
 
 	// Determinism: a second run writes identical bytes.
 	out2 := filepath.Join(dir, "out2.json")
-	*traceOut = out2
-	if err := runTimeline(); err != nil {
-		t.Fatal(err)
-	}
+	timeline(out2)
 	data2, err := os.ReadFile(out2)
 	if err != nil {
 		t.Fatal(err)
@@ -98,32 +96,215 @@ func TestTimelineTraceFlagEmitsValidChrome(t *testing.T) {
 	}
 }
 
-// TestCheckFlags: checkpoint flags outside `timeline`, and -reverse-to
-// without the checkpoints it restores from, are usage errors naming the
-// flag, rejected before anything runs.
-func TestCheckFlags(t *testing.T) {
-	oldEvery, oldReverse := *checkpointEvery, *reverseTo
-	defer func() { *checkpointEvery, *reverseTo = oldEvery, oldReverse }()
-	cases := []struct {
-		cmd       string
-		every, to uint64
-		wantFlag  string // the flag the error names; "" for no error
-	}{
-		{"timeline", 0, 5000, "-reverse-to"},
-		{"timeline", 1000, 5000, ""},
-		{"timeline", 0, 0, ""},
-		{"table2", 1000, 0, "-checkpoint-every"},
+// checkUsageError runs argv and checks that it is a usage error,
+// rejected before anything runs: exit code 2, nothing on stdout, and
+// one stderr line naming each of want.
+func checkUsageError(t *testing.T, argv []string, want ...string) {
+	t.Helper()
+	var out, errw bytes.Buffer
+	code := run(argv, &out, &errw)
+	msg := errw.String()
+	ok := code == 2 && out.Len() == 0 && strings.Count(msg, "\n") == 1
+	for _, w := range want {
+		ok = ok && strings.Contains(msg, w)
 	}
-	for _, c := range cases {
-		*checkpointEvery, *reverseTo = c.every, c.to
-		err := checkFlags(c.cmd)
-		ok := err == nil
-		if c.wantFlag != "" {
-			ok = err != nil && strings.Contains(err.Error(), c.wantFlag)
+	if !ok {
+		t.Errorf("%q: exit code %d, stdout %q, stderr %q; want 2, no stdout and one stderr line naming %q",
+			argv, code, out.String(), msg, want)
+	}
+}
+
+// TestCheckFlags: a global flag the subcommand does not read is a usage
+// error naming the flag and the subcommand, and so is -reverse-to
+// without the checkpoints it restores from. -cpuprofile and
+// -memprofile apply to every subcommand.
+func TestCheckFlags(t *testing.T) {
+	for _, c := range []struct {
+		argv []string
+		want []string // what the error names; nil if argv is accepted
+	}{
+		{[]string{"-cpuprofile", "cpu.out", "table1"}, nil},
+		{[]string{"-cpuprofile", "cpu.out", "aes"}, nil},
+		{[]string{"-memprofile", "mem.out", "walk"}, nil},
+		{[]string{"-memprofile", "mem.out", "fig10"}, nil},
+		{[]string{"-workers", "4", "fig10"}, nil},
+		{[]string{"-workers", "4", "walk"}, []string{"-workers", "walk"}},
+		{[]string{"-stats", "walk"}, nil},
+		{[]string{"-stats", "defenses"}, []string{"-stats", "defenses"}},
+		{[]string{"-trace", "out.json", "execpath"}, nil},
+		{[]string{"-trace", "out.json", "walk"}, []string{"-trace", "walk"}},
+		{[]string{"-metrics", "table2"}, nil},
+		{[]string{"-trace", "out.json", "-metrics", "walk"}, []string{"-metrics", "walk"}},
+		{[]string{"-sanitize", "timeline"}, nil},
+		{[]string{"-sanitize", "walk"}, []string{"-sanitize", "walk"}},
+		{[]string{"-json", "tournament"}, nil},
+		{[]string{"-json", "table1"}, []string{"-json", "table1"}},
+		{[]string{"-checkpoint-every", "1000", "timeline"}, nil},
+		{[]string{"-checkpoint-every", "1000", "table2"}, []string{"-checkpoint-every", "table2"}},
+		{[]string{"-checkpoint-every", "1000", "-reverse-to", "5000", "timeline"}, nil},
+		{[]string{"-reverse-to", "5000", "timeline"}, []string{"-reverse-to"}},
+		{[]string{"-reverse-to", "5000", "denoise"}, []string{"-reverse-to", "denoise"}},
+		{[]string{"-checkpoint-out", "final.snap", "timeline"}, nil},
+		{[]string{"-checkpoint-out", "final.snap", "aes"}, []string{"-checkpoint-out", "aes"}},
+	} {
+		if c.want != nil {
+			checkUsageError(t, c.argv, c.want...)
+		} else if _, err := parse(c.argv, io.Discard); err != nil {
+			t.Errorf("%q rejected: %v", c.argv, err)
 		}
-		if !ok {
-			t.Errorf("%s -checkpoint-every %d -reverse-to %d: err = %v, want flag %q named",
-				c.cmd, c.every, c.to, err, c.wantFlag)
+	}
+}
+
+// TestStrayArguments: a subcommand without flags of its own rejects any
+// argument after its name, naming the first.
+func TestStrayArguments(t *testing.T) {
+	for name := range commands {
+		checkUsageError(t, []string{name, "-bogus", "extra"}, name, `"-bogus"`)
+	}
+}
+
+// subArgs parses the global flags of argv, as parse does, and returns
+// the arguments after the subcommand's name.
+func subArgs(t *testing.T, argv ...string) []string {
+	t.Helper()
+	fs := globalFlags(io.Discard)
+	if err := fs.Parse(argv); err != nil {
+		t.Fatal(err)
+	}
+	return fs.Args()[1:]
+}
+
+// The flag handling of fig10 and aes is exercised without mounting the
+// attacks: parsing returns the options, and nothing runs.
+func TestParseArgsDefaults(t *testing.T) {
+	fig10, err := parseFig10(subArgs(t, "fig10"), io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fig10.cfg != experiments.DefaultFig10Config() || !fig10.hist || fig10.trials != 1 {
+		t.Errorf("fig10 defaults = %+v", fig10)
+	}
+	aes, err := parseAES(subArgs(t, "aes"), io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(aes.cfg.Key) != "0123456789abcdef" || string(aes.cfg.Plaintext) != "attack at dawn!!" ||
+		!aes.full || aes.keysweep != 0 || workers != 0 {
+		t.Errorf("aes defaults = %+v", aes)
+	}
+}
+
+// The global -workers goes before the subcommand, the subcommand's own
+// flags after it.
+func TestParseArgsOverrides(t *testing.T) {
+	fig10, err := parseFig10(subArgs(t, "-workers", "4", "fig10", "-samples", "800", "-cont", "3",
+		"-handler", "2000", "-walk", "2", "-hist=false", "-trials", "5"), io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := experiments.DefaultFig10Config()
+	want.Samples, want.Cont, want.HandlerLatency, want.WalkLevels, want.Workers = 800, 3, 2000, 2, 4
+	if fig10.cfg != want || fig10.hist || fig10.trials != 5 {
+		t.Errorf("fig10 parsed = %+v", fig10)
+	}
+	aes, err := parseAES(subArgs(t, "-workers", "4", "aes", "-key", "fedcba9876543210",
+		"-pt", "sixteen byte msg", "-full=false", "-keysweep", "8"), io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(aes.cfg.Key) != "fedcba9876543210" || string(aes.cfg.Plaintext) != "sixteen byte msg" ||
+		aes.full || aes.keysweep != 8 || workers != 4 {
+		t.Errorf("aes parsed = %+v", aes)
+	}
+}
+
+func TestParseArgsRejectsBadInput(t *testing.T) {
+	// Malformed flags, which the flag package reports with the usage.
+	for _, argv := range [][]string{
+		{"aes", "-nosuchflag"},
+		{"aes", "-keysweep", "notanumber"},
+	} {
+		if _, err := parse(argv, io.Discard); err == nil {
+			t.Errorf("%q accepted", argv)
+		}
+	}
+	// Well-formed values the attacks cannot run with, and stray
+	// arguments: one line naming the flag or the argument.
+	for _, argv := range [][]string{
+		{"aes", "-keysweep", "-3"},
+		{"aes", "-key", "short"},
+		{"aes", "-pt", "short"},
+		{"aes", "positional"},
+		{"fig10", "-samples", "0"},
+		{"fig10", "-cont", "-1"},
+		{"fig10", "-trials", "0"},
+		{"fig10", "-trials", "-2"},
+		{"fig10", "-walk", "0"},
+		{"fig10", "-walk", "5"},
+		{"fig10", "-handler", "0"},
+		{"fig10", "positional"},
+	} {
+		checkUsageError(t, argv, argv[:2]...)
+	}
+}
+
+// Bad flags must exit with a usage error (2) without running the attack.
+func TestRunBadFlagsExits2(t *testing.T) {
+	for _, argv := range [][]string{
+		{"aes", "-bogus"},
+		{"fig10", "-bogus"},
+		{"-bogus", "table1"},
+	} {
+		var out, errw bytes.Buffer
+		if code := run(argv, &out, &errw); code != 2 {
+			t.Errorf("%q: exit code = %d, want 2", argv, code)
+		}
+		if !strings.Contains(errw.String(), "-bogus") {
+			t.Errorf("%q: stderr does not name the bad flag: %q", argv, errw.String())
+		}
+		if out.Len() != 0 {
+			t.Errorf("%q: output produced despite flag error: %q", argv, out.String())
+		}
+	}
+}
+
+// Smoke: the Fig. 11 path runs end to end through the CLI entry point.
+func TestRunFig11Smoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full Fig. 11 simulation")
+	}
+	var out, errw bytes.Buffer
+	if code := run([]string{"aes", "-full=false"}, &out, &errw); code != 0 {
+		t.Fatalf("exit code = %d, stderr: %s", code, errw.String())
+	}
+	if !strings.Contains(out.String(), "primed replays consistent and correct: true") {
+		t.Errorf("fig11 output missing consistency line:\n%s", out.String())
+	}
+}
+
+// TestGoldenOutputs: for the same flags, `fig10` and `aes` print byte
+// for byte what the standalone portsmash and aesattack commands they
+// replaced printed. testdata holds those commands' stdout.
+func TestGoldenOutputs(t *testing.T) {
+	for _, c := range []struct {
+		golden string
+		argv   []string
+	}{
+		{"fig10.golden", []string{"fig10"}},
+		{"fig10_trials3_samples1000.golden", []string{"fig10", "-trials", "3", "-samples", "1000"}},
+		{"aes.golden", []string{"aes"}},
+		{"aes_nofull_keysweep8.golden", []string{"aes", "-full=false", "-keysweep", "8"}},
+	} {
+		want, err := os.ReadFile(filepath.Join("testdata", c.golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out, errw bytes.Buffer
+		if code := run(c.argv, &out, &errw); code != 0 {
+			t.Fatalf("%q: exit code = %d, stderr: %s", c.argv, code, errw.String())
+		}
+		if !bytes.Equal(out.Bytes(), want) {
+			t.Errorf("%q: stdout differs from testdata/%s:\n%s", c.argv, c.golden, out.String())
 		}
 	}
 }
