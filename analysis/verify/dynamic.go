@@ -1,14 +1,15 @@
 package verify
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 
 	"microscope/attack/microscope"
+	"microscope/attack/platform"
 	"microscope/attack/victim"
 	"microscope/sim/cpu"
 	"microscope/sim/isa"
-	"microscope/sim/kernel"
 	"microscope/sim/mem"
 	"microscope/sim/trace"
 )
@@ -85,79 +86,75 @@ func (r *runner) run(asg Assignment) (trace.Projections, error) {
 	return p, err
 }
 
-// runOne assembles a fresh platform (a copy of experiments.NewRig, which
-// this package cannot call: attack/experiments imports analysis/verify),
-// installs the subject with the assignment applied, arms the MicroScope
-// module on the replay handle, and runs to completion.
+// runOne boots a fresh platform with the assignment applied, arms the
+// MicroScope module on the replay handle, and runs to completion.
 func (r *runner) runOne(asg Assignment) (trace.Projections, error) {
 	if r.handleVA == 0 {
 		return trace.Projections{}, fmt.Errorf("verify: no replay handle known for %q", r.sub.Layout.Name)
 	}
-	ccfg := cpu.DefaultConfig()
-	if asg.SeedSet {
-		ccfg.RandSeed = asg.Seed
-	}
-	phys := mem.NewPhysMem(victim.PlatformMemBytes)
-	core := cpu.NewCore(ccfg, phys)
-	k := kernel.New(kernel.DefaultConfig(), phys, core)
-	m := microscope.NewModule(k)
-	vp, err := k.NewProcess("victim")
+	rig, lay, err := asg.Boot(r.sub.Layout)
 	if err != nil {
 		return trace.Projections{}, err
 	}
-	k.Schedule(0, vp)
-
-	lay := r.sub.Layout
-	if len(asg.Regs) > 0 {
-		patched := *lay
-		patched.Prog = patchSecretImms(lay.Prog, asg.Regs)
-		lay = &patched
-	}
-	if err := lay.Install(k, vp); err != nil {
-		return trace.Projections{}, err
-	}
-	for _, mv := range asg.Mems {
-		var b [8]byte
-		for i := range b {
-			b[i] = byte(mv.Val >> (8 * uint(i)))
-		}
-		if err := k.WriteVirt(vp, mv.Addr, b[:]); err != nil {
-			return trace.Projections{}, err
-		}
-	}
-
 	rcp := &microscope.Recipe{
 		Name:           "verify-" + lay.Name,
-		Victim:         vp,
+		Victim:         rig.Victim,
 		Handle:         r.handleVA,
 		HandlerLatency: r.cfg.HandlerLatency,
 		MaxReplays:     r.cfg.Replays,
 	}
-	if err := m.Install(rcp); err != nil {
+	if err := rig.Module.Install(rcp); err != nil {
 		return trace.Projections{}, err
 	}
 
 	rec := trace.NewRecorder()
-	core.SetTracer(rec)
-	lay.Start(k, 0)
-	for _, rv := range asg.Regs {
-		core.Context(0).SetReg(rv.Reg, rv.Val)
-	}
-	core.Run(r.cfg.MaxCycles)
-	if !core.Halted() {
-		return trace.Projections{}, fmt.Errorf("verify: run of %q exceeded %d cycles (victim at pc=%d)",
-			lay.Name, r.cfg.MaxCycles, core.Context(0).PC())
+	rig.Core.SetTracer(rec)
+	asg.Start(rig, lay)
+	if err := rig.Run(r.cfg.MaxCycles); err != nil {
+		return trace.Projections{}, fmt.Errorf("verify: run of %q: %w", lay.Name, err)
 	}
 	return trace.ProjectTransient(rec.Events()), nil
 }
 
-// PatchProgram returns a copy of p with every immediate-load of an
-// assigned secret-home register rewritten to the assigned value — the
-// same program transformation the verifier's dynamic runs apply, so
-// external replayers (the SpecSan cross-validation in
-// attack/experiments) execute the exact program a witness was found on.
-func (a Assignment) PatchProgram(p *isa.Program) *isa.Program {
-	return patchSecretImms(p, a.Regs)
+// Boot boots a fresh platform and applies the assignment up to the
+// start of the run: RDRAND seed, patched secret immediates, installed
+// layout, secret memory words. It returns the installed (patched)
+// layout; the caller arms the module, then calls Start. The verifier
+// and the SpecSan replay of a witness both set up their runs this way.
+func (a Assignment) Boot(lay *victim.Layout) (*platform.Rig, *victim.Layout, error) {
+	cfg := cpu.DefaultConfig()
+	if a.SeedSet {
+		cfg.RandSeed = a.Seed
+	}
+	rig, err := platform.New(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(a.Regs) > 0 {
+		patched := *lay
+		patched.Prog = patchSecretImms(lay.Prog, a.Regs)
+		lay = &patched
+	}
+	if err := rig.InstallVictim(lay); err != nil {
+		return nil, nil, err
+	}
+	for _, mv := range a.Mems {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], mv.Val)
+		if err := rig.Kernel.WriteVirt(rig.Victim, mv.Addr, b[:]); err != nil {
+			return nil, nil, err
+		}
+	}
+	return rig, lay, nil
+}
+
+// Start starts the layout Boot returned on the victim context and sets
+// the assigned secret registers.
+func (a Assignment) Start(rig *platform.Rig, lay *victim.Layout) {
+	lay.Start(rig.Kernel, 0)
+	for _, rv := range a.Regs {
+		rig.Core.Context(0).SetReg(rv.Reg, rv.Val)
+	}
 }
 
 // patchSecretImms rewrites every immediate-load of an assigned secret-

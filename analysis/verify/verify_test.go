@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"strings"
 	"testing"
 
 	"microscope/attack/victim"
@@ -199,5 +200,25 @@ func TestAtomTableOverflow(t *testing.T) {
 	atoms := tab.resolve(last)
 	if len(atoms) != 1 || atoms[0].Kind != "overflow" {
 		t.Fatalf("resolve(overflow) = %+v", atoms)
+	}
+}
+
+// A dynamic run that exceeds its cycle budget makes the verdict
+// UNKNOWN, and the reason names the program and where the victim was
+// spinning.
+func TestVerifyUnknownOnRunTimeout(t *testing.T) {
+	cfg := testConfig()
+	cfg.MaxCycles = 2000
+	res, err := Verify(NewSubject(victim.ControlFlowSecret(true)), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Verdict != Unknown {
+		t.Fatalf("verdict = %s (%s), want UNKNOWN", res.Verdict, res.Reason)
+	}
+	for _, want := range []string{`"controlflow"`, "victim spinning at pc=6"} {
+		if !strings.Contains(res.Reason, want) {
+			t.Errorf("reason %q does not contain %s", res.Reason, want)
+		}
 	}
 }

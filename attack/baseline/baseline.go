@@ -11,7 +11,7 @@ package baseline
 import (
 	"slices"
 
-	"microscope/attack/experiments"
+	"microscope/attack/platform"
 	"microscope/attack/victim"
 	"microscope/sim/cpu"
 	"microscope/sim/isa"
@@ -77,7 +77,7 @@ type ControlledChannelResult struct {
 // invisible.
 func RunControlledChannel(pageSecret bool) (*ControlledChannelResult, error) {
 	trace := func(pageSecret, lineSecret bool) ([]uint64, error) {
-		rig, err := experiments.NewRig(cpu.DefaultConfig())
+		rig, err := platform.New(cpu.DefaultConfig())
 		if err != nil {
 			return nil, err
 		}
@@ -130,7 +130,7 @@ type SPMResult struct {
 // RunSPM mounts Sneaky Page Monitoring: map everything eagerly, clear
 // the A bits, run the victim, read the A bits back.
 func RunSPM(pageSecret bool) (*SPMResult, error) {
-	rig, err := experiments.NewRig(cpu.DefaultConfig())
+	rig, err := platform.New(cpu.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}

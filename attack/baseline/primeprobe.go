@@ -4,7 +4,7 @@ import (
 	"math/rand"
 
 	"microscope/analysis/sweep"
-	"microscope/attack/experiments"
+	"microscope/attack/platform"
 	"microscope/attack/victim"
 	"microscope/crypto/taes"
 	"microscope/sim/cache"
@@ -60,7 +60,7 @@ func RunPrimeProbe(key, plaintext []byte, flipProb float64, maxTraces int, seed 
 
 	oneTrace := func(trace int) (uint16, error) {
 		rng := rand.New(rand.NewSource(sweep.SeedFor(seed, trace)))
-		rig, err := experiments.NewRig(cpu.DefaultConfig())
+		rig, err := platform.New(cpu.DefaultConfig())
 		if err != nil {
 			return 0, err
 		}

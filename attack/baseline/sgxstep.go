@@ -3,7 +3,7 @@ package baseline
 import (
 	"fmt"
 
-	"microscope/attack/experiments"
+	"microscope/attack/platform"
 	"microscope/attack/victim"
 	"microscope/crypto/taes"
 	"microscope/sim/cache"
@@ -56,7 +56,7 @@ func RunSGXStep(key, plaintext []byte, interval uint64, noisePeriod int) (*SGXSt
 		}
 	}
 
-	rig, err := experiments.NewRig(cpu.DefaultConfig())
+	rig, err := platform.New(cpu.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 	"microscope/attack/defense"
 	"microscope/attack/experiments"
 	"microscope/attack/microscope"
+	"microscope/attack/platform"
 	"microscope/attack/victim"
 	"microscope/sim/cache"
 	"microscope/sim/cpu"
@@ -41,11 +42,11 @@ func leakVictim(line int64) *victim.Layout {
 
 // defended boots a rig with d active at all three layers — core config,
 // victim hardening, kernel hooks — and l, hardened by d, installed.
-func defended(t *testing.T, d defense.Defense, l *victim.Layout) (*experiments.Rig, *victim.Layout) {
+func defended(t *testing.T, d defense.Defense, l *victim.Layout) (*platform.Rig, *victim.Layout) {
 	t.Helper()
 	cfg := cpu.DefaultConfig()
 	d.Configure(&cfg)
-	rig, err := experiments.NewRig(cfg)
+	rig, err := platform.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func defended(t *testing.T, d defense.Defense, l *victim.Layout) (*experiments.R
 // prober flushes the cache line at va and returns a sampler reporting
 // whether the line was touched since the previous sample, re-flushing
 // it when it was.
-func prober(t *testing.T, rig *experiments.Rig, va mem.Addr) func() bool {
+func prober(t *testing.T, rig *platform.Rig, va mem.Addr) func() bool {
 	t.Helper()
 	pa, err := rig.Victim.AddressSpace().Translate(va)
 	if err != nil {

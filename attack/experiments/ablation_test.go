@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"microscope/attack/microscope"
+	"microscope/attack/platform"
 	"microscope/attack/victim"
 	"microscope/sim/cpu"
 	"microscope/sim/isa"
@@ -28,7 +29,7 @@ func TestAblations(t *testing.T) {
 		measure: func(t *testing.T) []float64 {
 			var out []float64
 			for levels := 1; levels <= 4; levels++ {
-				delay := firstFault(t, cpu.DefaultConfig(), victim.ControlFlowSecret(false), levels, func(*Rig) {})
+				delay := firstFault(t, cpu.DefaultConfig(), victim.ControlFlowSecret(false), levels, func(*platform.Rig) {})
 				out = append(out, float64(delay))
 			}
 			return out
@@ -83,7 +84,7 @@ func TestAblations(t *testing.T) {
 					addrs[i] = l.Sym("probe") + mem.Addr(i)*64
 				}
 				var cached float64
-				firstFault(t, cfg, l, 0, func(rig *Rig) {
+				firstFault(t, cfg, l, 0, func(rig *platform.Rig) {
 					prs, err := rig.Module.ProbeAddrs(rig.Victim, addrs)
 					if err != nil {
 						t.Fatal(err)
@@ -134,9 +135,9 @@ func TestAblations(t *testing.T) {
 // page-table levels served from memory (0: all), runs onFault at the
 // fault, then releases the victim and runs it to completion. It returns
 // the cycles from victim start to the fault.
-func firstFault(t *testing.T, cfg cpu.Config, l *victim.Layout, walkLevels int, onFault func(*Rig)) uint64 {
+func firstFault(t *testing.T, cfg cpu.Config, l *victim.Layout, walkLevels int, onFault func(*platform.Rig)) uint64 {
 	t.Helper()
-	rig, err := NewRig(cfg)
+	rig, err := platform.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,13 +2,12 @@ package experiments
 
 import (
 	"errors"
-	"fmt"
 
 	"microscope/attack/microscope"
+	"microscope/attack/platform"
 	"microscope/attack/victim"
 	"microscope/sim/cpu"
 	"microscope/sim/enclave"
-	"microscope/sim/kernel"
 	"microscope/sim/mem"
 )
 
@@ -33,41 +32,33 @@ type EnclaveAttackResult struct {
 	Replays          int
 }
 
-// RunEnclaveAttack mounts the whole scenario. It builds its platform by
-// hand instead of with NewRig: the enclave manager's AEX observer must
-// register its fault hook before the MicroScope module does, because the
-// first hook to handle a fault wins and the observer has to see every
-// handle fault.
+// RunEnclaveAttack mounts the whole scenario. The enclave manager's AEX
+// observer must see every handle fault, and the first fault hook to
+// handle a fault wins, so the MicroScope module is reloaded after the
+// manager registers its observer.
 func RunEnclaveAttack(secret bool) (*EnclaveAttackResult, error) {
-	phys := mem.NewPhysMem(victim.PlatformMemBytes)
-	core := cpu.NewCore(cpu.DefaultConfig(), phys)
-	k := kernel.New(kernel.DefaultConfig(), phys, core)
-	mgr := enclave.NewManager(k, core)
-	mod := microscope.NewModule(k)
-
-	proc, err := k.NewProcess("enclave-host")
+	rig, err := platform.New(cpu.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
-	k.Schedule(0, proc)
+	rig.Module.Unload()
+	mgr := enclave.NewManager(rig.Kernel, rig.Core)
+	rig.Module = microscope.NewModule(rig.Kernel)
+	core, proc := rig.Core, rig.Victim
 
 	// The victim program and its data pages: we reuse the control-flow
-	// victim but house its secret page inside an enclave region.
+	// victim but house its secret page inside an enclave region. The
+	// other regions are ordinary process memory.
 	l := victim.ControlFlowSecret(secret)
-	// Install the non-secret regions as ordinary process memory.
+	public := *l
+	public.Regions = nil
 	for _, reg := range l.Regions {
-		if reg.Name == "secret" {
-			continue
+		if reg.Name != "secret" {
+			public.Regions = append(public.Regions, reg)
 		}
-		v := k.AddVMA(proc, reg.VA, reg.VA+reg.Size, reg.Flags, reg.Name)
-		if err := k.MapEager(proc, v); err != nil {
-			return nil, err
-		}
-		if len(reg.Init) > 0 {
-			if err := proc.AddressSpace().WriteVirt(reg.VA, reg.Init); err != nil {
-				return nil, err
-			}
-		}
+	}
+	if err := rig.InstallVictim(&public); err != nil {
+		return nil, err
 	}
 	// The secret page becomes the enclave's private memory.
 	secretInit := make([]byte, 8)
@@ -121,12 +112,11 @@ func RunEnclaveAttack(secret bool) (*EnclaveAttackResult, error) {
 		}
 		return microscope.Replay
 	}
-	if err := mod.Install(rec); err != nil {
+	if err := rig.Module.Install(rec); err != nil {
 		return nil, err
 	}
-	core.Run(50_000_000)
-	if !ctx.Halted() {
-		return nil, fmt.Errorf("experiments: enclave victim did not finish")
+	if err := rig.Run(50_000_000); err != nil {
+		return nil, err
 	}
 	if divReplays > rec.MaxReplays/2 {
 		res.RecoveredSecret = 1

@@ -5,6 +5,7 @@ import (
 
 	"microscope/attack/microscope"
 	"microscope/attack/monitor"
+	"microscope/attack/platform"
 	"microscope/attack/victim"
 	"microscope/sim/cpu"
 	"microscope/sim/isa"
@@ -138,7 +139,7 @@ func ffJitterConfig() cpu.Config {
 // and digests the run.
 func runFFScenario(t *testing.T, sc ffScenario, cfg cpu.Config) ffDigest {
 	t.Helper()
-	rig, err := NewRig(cfg)
+	rig, err := platform.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,7 @@ func runFFScenario(t *testing.T, sc ffScenario, cfg cpu.Config) ffDigest {
 
 // ffDigestOf digests a finished attack run from its rig, the trace
 // hasher attached for the run, and the installed recipe.
-func ffDigestOf(rig *Rig, h *trace.Hasher, rec *microscope.Recipe) ffDigest {
+func ffDigestOf(rig *platform.Rig, h *trace.Hasher, rec *microscope.Recipe) ffDigest {
 	d := ffDigest{
 		traceHash: h.Sum64(),
 		events:    int(h.Events()),

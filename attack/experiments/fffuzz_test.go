@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"microscope/attack/microscope"
+	"microscope/attack/platform"
 	"microscope/sim/cpu"
 	"microscope/sim/trace"
 )
@@ -18,7 +19,7 @@ func runFFMutant(t *testing.T, sel uint8, a uint64, tail []byte, handleSym strin
 	lay, _ := mutantLayout(sel, a, tail)
 	cfg := cpu.DefaultConfig()
 	cfg.FastForward = fastForward
-	rig, err := NewRig(cfg)
+	rig, err := platform.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"microscope/analysis/sweep"
 	"microscope/attack/microscope"
 	"microscope/attack/monitor"
+	"microscope/attack/platform"
 	"microscope/attack/victim"
 	"microscope/sim/cpu"
 )
@@ -125,7 +126,7 @@ func (r *Fig10Result) SecretDetected() bool { return r.SeparationX >= 4 }
 // fig10Rig is one side's assembled platform: the rig plus the victim
 // and monitor layouts (needed for symbols and program start).
 type fig10Rig struct {
-	rig *Rig
+	rig *platform.Rig
 	vic *victim.Layout
 	mon *victim.Layout
 }
@@ -141,7 +142,7 @@ func buildFig10Rig(coreCfg cpu.Config, cfg Fig10Config, secret bool) (*fig10Rig,
 	case cfg.Cont <= 0:
 		return nil, fmt.Errorf("experiments: fig10 needs Cont > 0, got %d", cfg.Cont)
 	}
-	rig, err := NewRig(coreCfg)
+	rig, err := platform.New(coreCfg)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"microscope/attack/microscope"
+	"microscope/attack/platform"
 	"microscope/attack/victim"
 	"microscope/sim/cache"
 	"microscope/sim/cpu"
@@ -44,7 +45,7 @@ type BiasResult struct {
 func RunRDRANDBias(targetBit uint64, maxWindows int, fenced bool) (*BiasResult, error) {
 	cfg := cpu.DefaultConfig()
 	cfg.FencedRdrand = fenced
-	rig, err := NewRig(cfg)
+	rig, err := platform.New(cfg)
 	if err != nil {
 		return nil, err
 	}

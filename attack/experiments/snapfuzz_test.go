@@ -6,6 +6,7 @@ import (
 
 	"microscope/attack/microscope"
 	"microscope/attack/monitor"
+	"microscope/attack/platform"
 	"microscope/attack/victim"
 	"microscope/sim/cpu"
 	"microscope/sim/snapshot"
@@ -26,7 +27,7 @@ const fuzzRunCycles = 20_000
 // minimization of new inputs is cheap.
 func FuzzSnapshotDecodeRestore(f *testing.F) {
 	cfg := cpu.DefaultConfig()
-	rig, err := NewRig(cfg)
+	rig, err := platform.New(cfg)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -72,11 +73,11 @@ func FuzzSnapshotDecodeRestore(f *testing.F) {
 		if err != nil {
 			return
 		}
-		rig, err := NewRig(cfg)
+		rig, err := platform.New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := rig.Restore(&Checkpoint{Machine: m, VictimPID: cp.VictimPID, MonitorPID: cp.MonitorPID, Config: cfg}); err != nil {
+		if err := rig.Restore(&platform.Checkpoint{Machine: m, VictimPID: cp.VictimPID, MonitorPID: cp.MonitorPID, Config: cfg}); err != nil {
 			return
 		}
 		if n := rig.Core.Run(fuzzRunCycles); n > fuzzRunCycles {

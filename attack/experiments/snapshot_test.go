@@ -7,6 +7,7 @@ import (
 
 	"microscope/attack/microscope"
 	"microscope/attack/monitor"
+	"microscope/attack/platform"
 	"microscope/attack/victim"
 	"microscope/sim/cpu"
 	"microscope/sim/isa"
@@ -42,7 +43,7 @@ type snapDigest struct {
 	stats     [2]cpu.ContextStats
 }
 
-func digestRig(rig *Rig, h *trace.Hasher, rec *microscope.Recipe) snapDigest {
+func digestRig(rig *platform.Rig, h *trace.Hasher, rec *microscope.Recipe) snapDigest {
 	d := snapDigest{
 		traceHash: h.Sum64(),
 		events:    h.Events(),
@@ -75,13 +76,13 @@ const snapBudget = 5_000_000
 
 // mountSnapScenario assembles the scenario's rig with recipe installed
 // and programs started, tracer attached, ready to run.
-func mountSnapScenario(t *testing.T, sc ffScenario) (*Rig, *trace.Hasher, *microscope.Recipe) {
+func mountSnapScenario(t *testing.T, sc ffScenario) (*platform.Rig, *trace.Hasher, *microscope.Recipe) {
 	t.Helper()
 	cfg := cpu.DefaultConfig()
 	cfg.JitterPeriod = 901
 	cfg.JitterExtra = 150
 
-	rig, err := NewRig(cfg)
+	rig, err := platform.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func mountSnapScenario(t *testing.T, sc ffScenario) (*Rig, *trace.Hasher, *micro
 // monitor context halts. It closes over the rig, so a restored recipe
 // needs a fresh binding against the restored rig (callbacks are host
 // code and never serialized).
-func monitorRelease(rig *Rig) func(microscope.Event) microscope.Decision {
+func monitorRelease(rig *platform.Rig) func(microscope.Event) microscope.Decision {
 	return func(microscope.Event) microscope.Decision {
 		if rig.Core.Context(1).Halted() {
 			return microscope.Release

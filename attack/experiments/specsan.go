@@ -16,7 +16,6 @@ import (
 	"microscope/analysis/verify"
 	"microscope/attack/microscope"
 	"microscope/attack/victim"
-	"microscope/sim/cpu"
 	"microscope/sim/sanitizer"
 )
 
@@ -93,9 +92,9 @@ type SpecSanConfig struct {
 	HandlerLatency uint64
 	// MaxCycles bounds the run.
 	MaxCycles uint64
-	// Assignment, when non-nil, patches secret immediates, writes
-	// secret memory and seeds RDRAND exactly like a verifier witness
-	// run, so a witness assignment can be replayed under the sanitizer.
+	// Assignment is applied exactly like a verifier witness run's (by
+	// verify.Assignment.Boot and Start), so a witness assignment can be
+	// replayed under the sanitizer. Nil means the zero (baseline) one.
 	Assignment *verify.Assignment
 }
 
@@ -184,39 +183,18 @@ func RunSpecSan(t SanTarget, cfg SpecSanConfig) (*SpecSanResult, error) {
 // RunSpecSanLayout is RunSpecSan for an arbitrary layout (fuzzed
 // mutants, -asm input).
 func RunSpecSanLayout(name string, lay *victim.Layout, handleSym string, cfg SpecSanConfig) (*SpecSanResult, error) {
-	ccfg := cpu.DefaultConfig()
-	asg := cfg.Assignment
-	if asg != nil && asg.SeedSet {
-		ccfg.RandSeed = asg.Seed
+	var asg verify.Assignment
+	if cfg.Assignment != nil {
+		asg = *cfg.Assignment
 	}
-	rig, err := NewRig(ccfg)
+	rig, lay, err := asg.Boot(lay)
 	if err != nil {
 		return nil, err
 	}
 
-	if asg != nil && len(asg.Regs) > 0 {
-		patched := *lay
-		patched.Prog = asg.PatchProgram(lay.Prog)
-		lay = &patched
-	}
-	if err := rig.InstallVictim(lay); err != nil {
-		return nil, err
-	}
-	if asg != nil {
-		for _, mv := range asg.Mems {
-			var b [8]byte
-			for i := range b {
-				b[i] = byte(mv.Val >> (8 * uint(i)))
-			}
-			if err := rig.Kernel.WriteVirt(rig.Victim, mv.Addr, b[:]); err != nil {
-				return nil, err
-			}
-		}
-	}
-
 	// Seed the shadow state from the same taint-source declaration the
 	// static scanner consumes: secret-home registers and the bytes of
-	// every secret region (mapped eagerly by Install above).
+	// every secret region (mapped eagerly by Boot).
 	san := sanitizer.New(rig.Core, sanitizer.Config{TaintRdrand: cfg.Static.TaintRdrand})
 	for _, r := range lay.SecretRegs {
 		san.SeedReg(0, r, r.String())
@@ -244,12 +222,7 @@ func RunSpecSanLayout(name string, lay *victim.Layout, handleSym string, cfg Spe
 		return nil, err
 	}
 
-	lay.Start(rig.Kernel, 0)
-	if asg != nil {
-		for _, rv := range asg.Regs {
-			rig.Core.Context(0).SetReg(rv.Reg, rv.Val)
-		}
-	}
+	asg.Start(rig, lay)
 	if err := rig.Run(cfg.MaxCycles); err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 	"microscope/analysis/sidechan"
 	"microscope/attack/microscope"
 	"microscope/attack/monitor"
+	"microscope/attack/platform"
 	"microscope/attack/victim"
 	"microscope/sim/cpu"
 )
@@ -44,7 +45,7 @@ func (r *SubnormalResult) Detected() bool {
 // measures division latencies.
 func RunSubnormal(samples int) (*SubnormalResult, error) {
 	run := func(subnormal bool) ([]uint64, error) {
-		rig, err := NewRig(cpu.DefaultConfig())
+		rig, err := platform.New(cpu.DefaultConfig())
 		if err != nil {
 			return nil, err
 		}
@@ -126,7 +127,7 @@ type DenoiseCurve struct {
 // RunDenoise runs the denoising loop for the given secret with the given
 // replay budget.
 func RunDenoise(secret bool, replays int) (*DenoiseCurve, error) {
-	rig, err := NewRig(cpu.DefaultConfig())
+	rig, err := platform.New(cpu.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}

@@ -1,8 +1,7 @@
-package experiments
+package platform
 
 import (
 	"fmt"
-	"sync"
 
 	"microscope/sim/cpu"
 	"microscope/sim/snapshot"
@@ -12,7 +11,7 @@ import (
 // (physical memory, core microarchitecture, kernel tables) plus the
 // MicroScope module's replay state and the identities of the rig's
 // victim/monitor process handles. A checkpoint taken once after the
-// expensive setup (NewRig boots a 64 MB platform; victim installation
+// expensive setup (New boots a 64 MB platform; victim installation
 // writes the memory image) lets sweeps fork N state-identical trials
 // without paying that cost N times.
 type Checkpoint struct {
@@ -60,14 +59,14 @@ func (r *Rig) Restore(cp *Checkpoint) error {
 	}
 	vp, ok := r.Kernel.Process(cp.VictimPID)
 	if !ok {
-		return fmt.Errorf("experiments: checkpoint victim pid %d missing from restored process table", cp.VictimPID)
+		return fmt.Errorf("platform: checkpoint victim pid %d missing from restored process table", cp.VictimPID)
 	}
 	r.Victim = vp
 	r.Monitor = nil
 	if cp.MonitorPID != 0 {
 		mp, ok := r.Kernel.Process(cp.MonitorPID)
 		if !ok {
-			return fmt.Errorf("experiments: checkpoint monitor pid %d missing from restored process table", cp.MonitorPID)
+			return fmt.Errorf("platform: checkpoint monitor pid %d missing from restored process table", cp.MonitorPID)
 		}
 		r.Monitor = mp
 	}
@@ -77,7 +76,7 @@ func (r *Rig) Restore(cp *Checkpoint) error {
 // Boot assembles a fresh rig (its own PhysMem/Core/Kernel/Module) and
 // restores the checkpoint into it.
 func (cp *Checkpoint) Boot() (*Rig, error) {
-	rig, err := NewRig(cp.Config)
+	rig, err := New(cp.Config)
 	if err != nil {
 		return nil, err
 	}
@@ -98,53 +97,4 @@ func (r *Rig) Fork() (*Rig, error) {
 		return nil, err
 	}
 	return cp.Boot()
-}
-
-// rigPool hands out rigs restored to a common checkpoint. A sweep
-// drawing trial rigs from the pool pays one platform boot per
-// *concurrent worker* instead of one per trial; every get() restores
-// the rig to the checkpoint first, so trial results are independent of
-// which pooled rig served which trial (worker-count invariance).
-type rigPool struct {
-	cp *Checkpoint
-	mu sync.Mutex
-	// pristine is a rig known to sit exactly at the checkpoint state
-	// (the template the checkpoint was captured from); its first draw
-	// skips the restore. Rigs returned after use go to free and are
-	// restored on their next draw.
-	pristine *Rig
-	free     []*Rig
-}
-
-// newRigPool seeds the pool with the template rig the checkpoint was
-// taken from, so single-worker sweeps never boot a second platform.
-func newRigPool(cp *Checkpoint, seed *Rig) *rigPool {
-	return &rigPool{cp: cp, pristine: seed}
-}
-
-func (p *rigPool) get() (*Rig, error) {
-	p.mu.Lock()
-	if r := p.pristine; r != nil {
-		p.pristine = nil
-		p.mu.Unlock()
-		return r, nil
-	}
-	var r *Rig
-	if n := len(p.free); n > 0 {
-		r, p.free = p.free[n-1], p.free[:n-1]
-	}
-	p.mu.Unlock()
-	if r == nil {
-		return p.cp.Boot()
-	}
-	if err := r.Restore(p.cp); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-func (p *rigPool) put(r *Rig) {
-	p.mu.Lock()
-	p.free = append(p.free, r)
-	p.mu.Unlock()
 }

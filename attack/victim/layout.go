@@ -22,9 +22,9 @@ import (
 )
 
 // PlatformMemBytes is the physical memory of the platform victims are
-// installed on (experiments.NewRig and the verifier's trial boots).
-// Install maps every region eagerly, so a region larger than this could
-// never be installed; ParseScript rejects one.
+// installed on (attack/platform.New). Install maps every region
+// eagerly, so a region larger than this could never be installed;
+// ParseScript rejects one.
 const PlatformMemBytes = 64 << 20
 
 // Region is one data area of a victim.

@@ -17,8 +17,8 @@ import (
 	"os"
 	"strings"
 
-	"microscope/attack/experiments"
 	"microscope/attack/microscope"
+	"microscope/attack/platform"
 	"microscope/attack/victim"
 	"microscope/sim/cache"
 	"microscope/sim/cpu"
@@ -124,7 +124,7 @@ func lab(o options, stdout, stderr io.Writer) error {
 		}
 	}
 
-	rig, err := experiments.NewRig(cpu.DefaultConfig())
+	rig, err := platform.New(cpu.DefaultConfig())
 	if err != nil {
 		return err
 	}
@@ -176,7 +176,7 @@ func lab(o options, stdout, stderr io.Writer) error {
 	return nil
 }
 
-func describeProbe(rig *experiments.Rig, addrs []mem.Addr) string {
+func describeProbe(rig *platform.Rig, addrs []mem.Addr) string {
 	if len(addrs) == 0 {
 		return "(no probe)"
 	}
@@ -196,7 +196,7 @@ func describeProbe(rig *experiments.Rig, addrs []mem.Addr) string {
 	return strings.Join(hot, " ")
 }
 
-func describeRegs(rig *experiments.Rig) string {
+func describeRegs(rig *platform.Rig) string {
 	ctx := rig.Core.Context(0)
 	var parts []string
 	for r := isa.R1; r <= isa.R8; r++ {

@@ -37,6 +37,7 @@ import (
 	"microscope/attack/baseline"
 	"microscope/attack/experiments"
 	"microscope/attack/microscope"
+	"microscope/attack/platform"
 	"microscope/attack/victim"
 	"microscope/sim/cpu"
 	"microscope/sim/sanitizer"
@@ -156,7 +157,7 @@ type observers struct {
 // secret declaration and attaches it to the rig's core. Returns nil
 // without touching the core when -sanitize is unset, preserving the
 // zero-overhead-when-off guarantee.
-func (o *observers) attachSanitizer(rig *experiments.Rig, l *victim.Layout) error {
+func (o *observers) attachSanitizer(rig *platform.Rig, l *victim.Layout) error {
 	if !sanitize {
 		return nil
 	}
@@ -464,7 +465,7 @@ func runTable1(out io.Writer) error {
 
 // runTable2 exercises the five Table 2 operations against a live victim.
 func runTable2(out io.Writer) error {
-	rig, err := experiments.NewRig(cpu.DefaultConfig())
+	rig, err := platform.New(cpu.DefaultConfig())
 	if err != nil {
 		return err
 	}
@@ -508,7 +509,7 @@ func runTable2(out io.Writer) error {
 
 // runTimeline reproduces the Fig. 3 interleaving on a live attack.
 func runTimeline(out io.Writer) error {
-	rig, err := experiments.NewRig(cpu.DefaultConfig())
+	rig, err := platform.New(cpu.DefaultConfig())
 	if err != nil {
 		return err
 	}
@@ -556,7 +557,7 @@ func runTimeline(out io.Writer) error {
 // cycleCheckpoint is one periodic whole-machine checkpoint.
 type cycleCheckpoint struct {
 	Cycle uint64
-	CP    *experiments.Checkpoint
+	CP    *platform.Checkpoint
 }
 
 // runCheckpointed runs the rig to completion within budget. With
@@ -564,7 +565,7 @@ type cycleCheckpoint struct {
 // machine after each (plus a cycle-0 baseline); the chunked run is
 // bit-identical to an unchunked one (Run resumes exactly where it
 // stopped, and taking a snapshot does not perturb machine state).
-func runCheckpointed(out io.Writer, rig *experiments.Rig, budget uint64) ([]cycleCheckpoint, error) {
+func runCheckpointed(out io.Writer, rig *platform.Rig, budget uint64) ([]cycleCheckpoint, error) {
 	every := checkpointEvery
 	if every == 0 {
 		return nil, rig.Run(budget)
@@ -603,7 +604,7 @@ func runCheckpointed(out io.Writer, rig *experiments.Rig, budget uint64) ([]cycl
 // cycle and deterministically re-runs forward to it — the "step
 // backwards to cycle k-1" debugging move a forward-only simulator
 // cannot otherwise make.
-func reverseStep(out io.Writer, rig *experiments.Rig, cps []cycleCheckpoint, target uint64) error {
+func reverseStep(out io.Writer, rig *platform.Rig, cps []cycleCheckpoint, target uint64) error {
 	var best *cycleCheckpoint
 	for i := range cps {
 		if cps[i].Cycle <= target && (best == nil || cps[i].Cycle > best.Cycle) {
@@ -635,7 +636,7 @@ func reverseStep(out io.Writer, rig *experiments.Rig, cps []cycleCheckpoint, tar
 
 // writeCheckpoint snapshots the rig as it stands and writes the gob
 // image tools/snapdiff consumes.
-func writeCheckpoint(out io.Writer, rig *experiments.Rig, path string) error {
+func writeCheckpoint(out io.Writer, rig *platform.Rig, path string) error {
 	cp, err := rig.Checkpoint()
 	if err != nil {
 		return err
@@ -658,7 +659,7 @@ func writeCheckpoint(out io.Writer, rig *experiments.Rig, path string) error {
 // runExecPath narrates the Fig. 9 execution path of a single intercepted
 // fault.
 func runExecPath(out io.Writer) error {
-	rig, err := experiments.NewRig(cpu.DefaultConfig())
+	rig, err := platform.New(cpu.DefaultConfig())
 	if err != nil {
 		return err
 	}
@@ -846,7 +847,7 @@ func runBaselines(out io.Writer) error {
 // level serving each level and the resulting walk latency under the
 // §4.1.2 tuning extremes.
 func runWalk(out io.Writer) error {
-	rig, err := experiments.NewRig(cpu.DefaultConfig())
+	rig, err := platform.New(cpu.DefaultConfig())
 	if err != nil {
 		return err
 	}
@@ -866,7 +867,7 @@ func runWalk(out io.Writer) error {
 	}
 	fmt.Fprintln(out, "\nwalk-duration tuning (§4.1.2): victim-observed fault delay by levels flushed")
 	for levels := 1; levels <= 4; levels++ {
-		r2, err := experiments.NewRig(cpu.DefaultConfig())
+		r2, err := platform.New(cpu.DefaultConfig())
 		if err != nil {
 			return err
 		}

@@ -13,8 +13,8 @@ import (
 	"strconv"
 	"strings"
 
-	"microscope/attack/experiments"
 	"microscope/attack/microscope"
+	"microscope/attack/platform"
 	"microscope/attack/victim"
 	"microscope/sim/cpu"
 	"microscope/sim/trace"
@@ -98,8 +98,8 @@ const cyclesPerReplay = 10_000
 // attack mounts the replay attack on the control-flow-secret victim with
 // a lifecycle collector (and met, when non-nil) attached, and runs it to
 // completion within a cycle budget that grows with replays.
-func attack(replays int, secret bool, met *trace.Metrics) (*experiments.Rig, *trace.Collector, error) {
-	rig, err := experiments.NewRig(cpu.DefaultConfig())
+func attack(replays int, secret bool, met *trace.Metrics) (*platform.Rig, *trace.Collector, error) {
+	rig, err := platform.New(cpu.DefaultConfig())
 	if err != nil {
 		return nil, nil, err
 	}

@@ -13,8 +13,8 @@ import (
 	"fmt"
 	"log"
 
-	"microscope/attack/experiments"
 	"microscope/attack/microscope"
+	"microscope/attack/platform"
 	"microscope/attack/victim"
 	"microscope/sim/cache"
 	"microscope/sim/cpu"
@@ -32,7 +32,7 @@ func main() {
 	// 1. The platform: physical memory, an out-of-order SMT core, an OS
 	//    kernel with the MicroScope module loaded into its fault path, and
 	//    a victim process scheduled on context 0.
-	rig, err := experiments.NewRig(cpu.DefaultConfig())
+	rig, err := platform.New(cpu.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)
 	}

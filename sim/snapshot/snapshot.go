@@ -9,10 +9,10 @@
 // module handler decisions) makes execution replayable: Restore(snap)
 // followed by Run(n) is bit-identical to the original execution
 // continuing past the capture point, proved by the canonical sim/trace
-// TraceHash (see attack/experiments' snapshot tests and
-// docs/checkpointing.md). Machines are gob-encoded with a leading
-// version; tools/snapdiff decodes two images and diffs them field by
-// field.
+// TraceHash (see attack/experiments' snapshot tests, which checkpoint
+// attack/platform rigs, and docs/checkpointing.md). Machines are
+// gob-encoded with a leading version; tools/snapdiff decodes two images
+// and diffs them field by field.
 package snapshot
 
 import (
@@ -94,7 +94,7 @@ type Machine struct {
 	Core    *cpu.CoreSnap
 	Kernel  *kernel.KernelSnap
 	// Module is the MicroScope module's state; nil when the machine was
-	// captured without one (filled in by attack/experiments.Rig).
+	// captured without one (filled in by attack/platform's Rig.Checkpoint).
 	Module *ModuleState
 }
 
