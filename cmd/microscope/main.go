@@ -593,6 +593,11 @@ func runCheckpointed(out io.Writer, rig *platform.Rig, budget uint64) ([]cycleCh
 			return nil, err
 		}
 	}
+	// A fault-handler failure halts the victim, so the loop above ends as
+	// if the run had finished: report it, as Rig.Run does.
+	if err := rig.Module.Err(); err != nil {
+		return nil, err
+	}
 	if !rig.Core.Halted() {
 		return nil, fmt.Errorf("run exceeded %d cycles", budget)
 	}

@@ -11,6 +11,11 @@ import (
 	"testing"
 
 	"microscope/attack/experiments"
+	"microscope/attack/microscope"
+	"microscope/attack/platform"
+	"microscope/attack/victim"
+	"microscope/sim/cpu"
+	"microscope/sim/mem"
 	"microscope/sim/trace"
 )
 
@@ -305,6 +310,39 @@ func TestGoldenOutputs(t *testing.T) {
 		}
 		if !bytes.Equal(out.Bytes(), want) {
 			t.Errorf("%q: stdout differs from testdata/%s:\n%s", c.argv, c.golden, out.String())
+		}
+	}
+}
+
+// A fault-handler failure halts the victim, so a -checkpoint-every run
+// stops early too; like the unchunked run (-checkpoint-every 0, which is
+// Rig.Run), it must return the module's failure instead of printing a
+// half-finished timeline as a success.
+func TestCheckpointedRunReturnsModuleFailure(t *testing.T) {
+	t.Cleanup(func() { checkpointEvery = 0 })
+	for _, every := range []uint64{0, 5000} {
+		rig, err := platform.New(cpu.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := victim.ControlFlowSecret(true)
+		if err := rig.InstallVictim(l); err != nil {
+			t.Fatal(err)
+		}
+		rec := &microscope.Recipe{Name: "timeline", Victim: rig.Victim, Handle: l.Sym("handle"), MaxReplays: 4}
+		if err := rig.Module.Install(rec); err != nil {
+			t.Fatal(err)
+		}
+		steps, err := rig.Module.SoftWalk(rig.Victim, rec.Handle)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rig.Phys.Write64(steps[mem.PTE].EntryAddr, 0)
+		l.Start(rig.Kernel, 0)
+		checkpointEvery = every
+		_, err = runCheckpointed(io.Discard, rig, 1_000_000)
+		if err == nil || !strings.Contains(err.Error(), "microscope: release failed") {
+			t.Errorf("-checkpoint-every %d: runCheckpointed = %v, want the module's release failure", every, err)
 		}
 	}
 }

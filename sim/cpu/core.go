@@ -626,6 +626,7 @@ func (c *Core) retire() {
 			switch head.State {
 			case pipeline.StateCompleted:
 				ctx.rob.PopHead()
+				ctx.sched.popMemOp(head)
 				ctx.wakeIssue() // head changed: a waiting rdtsc may now issue
 				c.commit(ctx, head)
 			case pipeline.StateFaulted:
@@ -866,102 +867,78 @@ func (c *Core) issue() {
 }
 
 // issueCtx runs one context's issue pass: an in-seq-order merge of the
-// per-class ready lists, visiting only entries whose operands are
-// captured, instead of the ROB scan it replaces — with a full ROB
-// blocked behind the non-pipelined divider, that scan was the hottest
-// loop in the simulator. The selection order (and so the port-claim
-// order, timing and trace) is identical: the old scan visited ready
-// entries in ROB order, which is seq order, and a structural failure is
-// class-uniform with no side effects, so parking a failed class skips
-// only attempts that were guaranteed to fail identically. It returns the
-// remaining issue budget.
+// ready lists' fronts, visiting only entries whose operands are captured,
+// instead of the ROB scan it replaces — with a full ROB blocked behind
+// the non-pipelined divider, that scan was the hottest loop in the
+// simulator. The selection order (and so the port-claim order, timing
+// and trace) is identical: the old scan visited ready entries in ROB
+// order, which is seq order, and a structural failure is class-uniform
+// with no side effects, so parking a failed class skips only attempts
+// that were guaranteed to fail identically. It returns the remaining
+// issue budget.
 func (c *Core) issueCtx(ctx *Context, budget int) int {
 	s := &ctx.sched
 	startGen := s.gen
-	// The RDTSC head-wait queue merges as a pseudo-class: only its front
-	// can be at the ROB head, and the head cannot change mid-pass (PopHead
-	// runs at retirement, squashes bump gen), so one failed headness check
-	// parks the queue for the rest of the pass. A parked non-head front
-	// contributes nothing to retryAt — retirement wakes it via wakeIssue —
-	// exactly like the skip the old per-entry check performed.
-	const qCls = int(pipeline.NumPortClasses)
-	var cur [pipeline.NumPortClasses]int
-	var blocked [pipeline.NumPortClasses + 1]bool
-	curQ := 0
+	var blocked [rdtscList + 1]bool
 	retryAt := uint64(neverCycle)
+	// Two lists are parked up front, because trying their fronts could
+	// only fail. An RDTSC front that is not the ROB head fails without a
+	// retry cycle (retirement wakes it), and the head cannot change
+	// mid-pass: PopHead runs at retirement, and squashes bump gen. While
+	// the divider is busy, a divide fails with the divider's free cycle
+	// as its retry, which is folded in below once the merge would have
+	// reached the front. Under DelaySpeculative a held speculative divide
+	// fails first, without a retry cycle, so that mode tries the front.
+	if refs := s.ready[rdtscList].refs; len(refs) > 0 && refs[0].seq != ctx.rob.Head().Seq {
+		blocked[rdtscList] = true
+	}
+	divSeq := uint64(neverCycle)
+	if refs := s.ready[pipeline.ClassDiv].refs; len(refs) > 0 && c.ports.DivBusy() && !c.cfg.DelaySpeculative {
+		blocked[pipeline.ClassDiv] = true
+		divSeq = refs[0].seq
+	}
+	stopSeq := uint64(neverCycle) // the merge tried no front younger than this
 	for budget > 0 && ctx.nDispatched > 0 {
-		// Find the oldest valid ready head among the unparked classes.
-		best := -1
-		bestSeq := uint64(neverCycle)
-		for cls := range s.ready {
-			if blocked[cls] {
-				continue
-			}
-			list := s.ready[cls]
-			j := cur[cls]
-			for j < len(list) {
-				re := ctx.rob.BySlot(list[j].slot)
-				if re.Seq == list[j].seq && re.State == pipeline.StateDispatched {
-					break
-				}
-				j++ // stale: issued earlier, or the slot was recycled
-			}
-			cur[cls] = j
-			if j < len(list) && list[j].seq < bestSeq {
-				best, bestSeq = cls, list[j].seq
-			}
-		}
-		if !blocked[qCls] {
-			q := s.rdtscQ
-			j := curQ
-			for j < len(q) {
-				re := ctx.rob.BySlot(q[j].slot)
-				if re.Seq == q[j].seq && re.State == pipeline.StateDispatched {
-					break
-				}
-				j++
-			}
-			curQ = j
-			if j < len(q) {
-				if ctx.rob.Head() != ctx.rob.BySlot(q[j].slot) {
-					blocked[qCls] = true
-				} else if q[j].seq < bestSeq {
-					best, bestSeq = qCls, q[j].seq
-				}
+		best, bestSeq := -1, uint64(neverCycle)
+		for l := range s.ready {
+			if refs := s.ready[l].refs; !blocked[l] && len(refs) > 0 && refs[0].seq < bestSeq {
+				best, bestSeq = l, refs[0].seq
 			}
 		}
 		if best < 0 {
-			break // full coverage: nothing ready outside parked classes
+			break // full coverage: nothing ready outside parked lists
 		}
-		var e *pipeline.Entry
-		if best == qCls {
-			e = ctx.rob.BySlot(s.rdtscQ[curQ].slot)
-		} else {
-			e = ctx.rob.BySlot(s.ready[best][cur[best]].slot)
+		list := &s.ready[best]
+		e := ctx.rob.BySlot(list.refs[0].slot)
+		if e.Seq != bestSeq || e.State != pipeline.StateDispatched {
+			// Stale: impossible while the lists are exact (the scheduler
+			// invariant test checks them after every cycle); dropped
+			// rather than issued if it ever happens.
+			list.pop()
+			continue
 		}
-		if ok, at := c.tryIssueEntry(ctx, e); ok {
-			budget--
-			if best == qCls {
-				curQ++
-			} else {
-				cur[best]++
-			}
-			if s.gen != startGen {
-				// Mid-pass squash (memory-order violation): the ready
-				// lists were rebuilt and everything younger is gone;
-				// every older ready entry was already tried, so the pass
-				// is complete. The sleep rule below still applies — the
-				// squash redirected fetch, and the resulting dispatch
-				// wakes the scan again, so overwriting recount's wake is
-				// sound (same argument as the old scan).
-				break
-			}
-		} else {
+		ok, at := c.tryIssueEntry(ctx, e)
+		if !ok {
 			blocked[best] = true
-			if at < retryAt {
-				retryAt = at
-			}
+			retryAt = min(retryAt, at)
+			continue
 		}
+		budget--
+		if s.gen != startGen {
+			// Mid-pass squash (memory-order violation): the lists were
+			// rebuilt without e and everything younger is gone; every
+			// older ready entry was already tried, so the pass is
+			// complete. The sleep rule below still applies — the squash
+			// redirected fetch, and the resulting dispatch wakes the
+			// scan again, so overwriting recount's wake is sound (same
+			// argument as the old scan).
+			stopSeq = bestSeq
+			break
+		}
+		list.pop()
+	}
+	if divSeq < stopSeq {
+		retryAt = min(retryAt, c.ports.DivFreeAt())
 	}
 	if budget == 0 && ctx.nDispatched > 0 {
 		// Pass may have stopped early: rescan next cycle.
@@ -972,64 +949,23 @@ func (c *Core) issueCtx(ctx *Context, budget int) int {
 		// wakeIssue.
 		ctx.issueSleepUntil = retryAt
 	}
-	// Drop consumed refs from the list fronts so they are not re-skipped
-	// on every later pass.
-	// Compaction copies down in place rather than re-slicing, which would
-	// bleed capacity off the front and feed every later append through
-	// the allocator.
-	for cls := range s.ready {
-		list := s.ready[cls]
-		j := 0
-		for j < len(list) {
-			re := ctx.rob.BySlot(list[j].slot)
-			if re.Seq == list[j].seq && re.State == pipeline.StateDispatched {
-				break
-			}
-			j++
-		}
-		if j > 0 {
-			s.ready[cls] = list[:copy(list, list[j:])]
-		}
-	}
-	{
-		q := s.rdtscQ
-		j := 0
-		for j < len(q) {
-			re := ctx.rob.BySlot(q[j].slot)
-			if re.Seq == q[j].seq && re.State == pipeline.StateDispatched {
-				break
-			}
-			j++
-		}
-		if j > 0 {
-			s.rdtscQ = q[:copy(q, q[j:])]
-		}
-	}
 	return budget
 }
 
 // occupancyOf returns, without side effects, the functional-unit occupancy
 // of e. Only the (non-pipelined) divider uses it, so it is exact for div
-// ops and irrelevant elsewhere. The FDiv subnormal classification is
-// cached per dynamic instruction: operands are final once captured, and
-// a ready divide blocked on the busy divider retries many times.
-func (c *Core) occupancyOf(ctx *Context, e *pipeline.Entry) uint64 {
+// ops and irrelevant elsewhere.
+func (c *Core) occupancyOf(e *pipeline.Entry) uint64 {
 	switch e.Instr.Op {
 	case isa.OpDiv:
 		return uint64(c.cfg.DivLat)
 	case isa.OpFDiv:
-		s := &ctx.sched
-		if s.occSeq[e.Slot] == e.Seq {
-			return s.occVal[e.Slot]
-		}
 		lat := c.cfg.FDivLat
 		fa := math.Float64frombits(e.Src[0].Value)
 		fb := math.Float64frombits(e.Src[1].Value)
 		if isSubnormal(fa) || isSubnormal(fb) || isSubnormal(fa/fb) {
 			lat += c.cfg.SubnormalPenalty
 		}
-		s.occSeq[e.Slot] = e.Seq
-		s.occVal[e.Slot] = uint64(lat)
 		return uint64(lat)
 	default:
 		return 1
@@ -1096,18 +1032,17 @@ func (c *Core) tryIssueEntry(ctx *Context, e *pipeline.Entry) (bool, uint64) {
 	var forward *pipeline.Entry
 	if op.IsLoad() {
 		va := e.Src[0].Value + uint64(e.Instr.Imm)
-		for _, se := range ctx.rob.Entries() {
-			if se.Seq >= e.Seq {
+		for _, r := range ctx.sched.stores.refs {
+			if r.seq >= e.Seq {
 				break
 			}
-			if se.Instr.Op.IsStore() && se.State != pipeline.StateDispatched &&
-				se.EffAddr == va {
+			if se := ctx.rob.BySlot(r.slot); se.State != pipeline.StateDispatched && se.EffAddr == va {
 				forward = se // youngest older match wins
 			}
 		}
 	}
 
-	port, ok := c.ports.TryIssue(op, c.occupancyOf(ctx, e))
+	port, ok := c.ports.TryIssue(op, c.occupancyOf(e))
 	if !ok {
 		// Structural hazard (e.g. divider busy: contention).
 		return false, c.ports.RetryAt(op)
@@ -1139,9 +1074,9 @@ func (c *Core) tryIssueEntry(ctx *Context, e *pipeline.Entry) (bool, uint64) {
 	// re-fetch everything younger than the store.
 	if op.IsStore() && fault == nil {
 		violated := false
-		for _, ye := range ctx.rob.Entries() {
-			if ye.Seq > e.Seq && ye.Instr.Op.IsLoad() &&
-				ye.State != pipeline.StateDispatched && ye.EffAddr == effAddr {
+		loads := ctx.sched.loads.refs
+		for i := len(loads) - 1; i >= 0 && loads[i].seq > e.Seq; i-- {
+			if ye := ctx.rob.BySlot(loads[i].slot); ye.State != pipeline.StateDispatched && ye.EffAddr == effAddr {
 				violated = true
 				break
 			}

@@ -13,33 +13,40 @@ import (
 //   - Per-slot waiter lists wire each in-flight producer to the operands
 //     waiting on it; the completion broadcast captures the result (and its
 //     shadow taint) into the consumers and counts down Entry.NPending.
-//   - Per-port-class ready lists hold dispatched entries whose operands
-//     are all captured, in seq order; the issue stage merges the class
-//     heads instead of scanning the ROB (structural failure is
-//     class-uniform, so one failed head parks the whole class).
+//   - Per-port-class ready lists hold exactly the dispatched entries
+//     whose operands are all captured, in seq order; the issue stage
+//     merges the list fronts instead of scanning the ROB (structural
+//     failure is class-uniform, so one failed front parks the whole
+//     class).
+//   - Load and store queues hold every in-flight load and store in seq
+//     order, so store-to-load forwarding and the memory-order check
+//     visit memory ops only.
 //   - A completion min-heap keyed (CompleteAt, Seq) replaces the
 //     per-cycle walk for due completions and yields the exact
 //     nextCompleteAt the fast-forward engine needs.
 //
 // All of this state is derived from the ROB and is rebuilt from scratch
 // by Context.recount after every squash or snapshot restore. Entries are
-// referenced as (pointer, seq) pairs: slots recycle, so a retained
-// reference is valid only while the seqs still match — stale references
-// (an issued entry still sitting in its ready list, a heap node orphaned
-// by a mid-batch rebuild) are dropped lazily at the next encounter.
+// referenced as (slot, seq) pairs: slots recycle, so a retained reference
+// is valid only while the seqs still match. The ready lists and the
+// load/store queues stay exact: an entry leaves them only by issuing from
+// a ready list's front or retiring from a queue's front, and every other
+// exit (squash, restore) rebuilds them. Only a completion-heap node can
+// go stale (its entry squashed, or orphaned by a mid-batch rebuild); it
+// is dropped at the next encounter.
 type schedState struct {
-	ready [pipeline.NumPortClasses][]readyRef
+	// ready[cls] is the ready list of port class cls. The extra list
+	// ready[rdtscList] holds ready RDTSC entries, which issue only at the
+	// ROB head (serialized timer reads). That failure is not
+	// class-uniform, so on the ALU list a timer read waiting for the head
+	// would park every ALU op behind it; on a list of its own it parks
+	// only the timer reads. RDTSC has no source operands, so its entries
+	// always arrive straight from dispatch, in seq order.
+	ready [rdtscList + 1]refList
 	heap  []compNode
 
-	// rdtscQ holds ready RDTSC entries, which issue only at the ROB head
-	// (serialized timer reads). Keeping them off the ALU ready list means
-	// an issue pass checks exactly one — the oldest, the only one that
-	// can possibly be at the head — instead of skipping every in-flight
-	// timer read, and issued ALU refs never pile up behind a parked
-	// timer read where the front compaction cannot drop them. RDTSC has
-	// no source operands, so entries always arrive here straight from
-	// dispatch, in seq order.
-	rdtscQ []readyRef
+	// loads and stores hold the in-flight memory ops, oldest first.
+	loads, stores refList
 
 	// waiterHead[slot] is the first waiter node of the producer in that
 	// slot (-1 none); a node encodes (consumer slot)*2 + operand index,
@@ -48,47 +55,78 @@ type schedState struct {
 	waiterHead []int32
 	waitNext   []int32
 
-	// Cached divider occupancy (subnormal classification is a measurable
-	// share of issue time when a ready FDiv retries against the busy
-	// non-pipelined divider). Keyed by seq: slot recycling can never
-	// produce a false hit because seqs are forever-unique.
-	occSeq []uint64
-	occVal []uint64
-
 	// gen increments on every rebuild; an issue pass that observes it
-	// change knows a mid-pass squash invalidated its cursors.
+	// change knows a mid-pass squash replaced its lists.
 	gen uint64
 }
 
-// readyRef references a ready dispatched entry by slab slot; stale once
-// the slot's seq no longer matches. Slot-based (pointer-free) on purpose:
-// the ready lists are appended, binary-inserted and compacted every pass,
-// and with a *Entry inside every one of those writes would run the GC
-// write barrier — a double-digit share of issue time before the switch.
-type readyRef struct {
+// rdtscList is the index of the RDTSC ready list in schedState.ready,
+// after the port classes' lists.
+const rdtscList = int(pipeline.NumPortClasses)
+
+// slotRef references an in-flight entry by slab slot; stale once the
+// slot's seq no longer matches. Slot-based (pointer-free) on purpose:
+// the lists are appended, binary-inserted and popped every cycle, and
+// with a *Entry inside every one of those writes would run the GC write
+// barrier — a double-digit share of issue time before the switch.
+type slotRef struct {
 	seq  uint64
 	slot int32
 }
 
 // compNode is one completion-heap node; stale once the entry is no
 // longer the issued instruction the node was pushed for. Pointer-free
-// for the same reason as readyRef.
+// for the same reason as slotRef.
 type compNode struct {
 	at   uint64
 	seq  uint64
 	slot int32
 }
 
+// refList is a seq-ordered list of slot refs: a window into a buffer of
+// the ROB's capacity. Popping the front advances the window, and an
+// insert that finds the window at the end of the buffer first slides it
+// back to the front. A list never holds more refs than the ROB holds
+// entries, and an insert adds an entry not yet on it, so the slide always
+// frees room: nothing allocates after init, and a pop costs O(1) where
+// copying the list down would cost its length.
+type refList struct {
+	buf  []slotRef
+	refs []slotRef
+}
+
+func (l *refList) init(capacity int) {
+	l.buf = make([]slotRef, capacity)
+	l.refs = l.buf[:0]
+}
+
+// insert adds e in seq order. Dispatch order is seq order, so an insert
+// at dispatch appends; a wakeup of an older entry binary-inserts.
+func (l *refList) insert(e *pipeline.Entry) {
+	if len(l.refs) == cap(l.refs) {
+		l.refs = l.buf[:copy(l.buf, l.refs)]
+	}
+	n := len(l.refs)
+	l.refs = append(l.refs, slotRef{seq: e.Seq, slot: e.Slot})
+	if n > 0 && l.refs[n-1].seq > e.Seq {
+		i := sort.Search(n, func(i int) bool { return l.refs[i].seq > e.Seq })
+		copy(l.refs[i+1:], l.refs[i:n])
+		l.refs[i] = slotRef{seq: e.Seq, slot: e.Slot}
+	}
+}
+
+func (l *refList) pop()   { l.refs = l.refs[1:] }
+func (l *refList) reset() { l.refs = l.buf[:0] }
+
 func (s *schedState) init(capacity int) {
 	for i := range s.ready {
-		s.ready[i] = make([]readyRef, 0, capacity)
+		s.ready[i].init(capacity)
 	}
-	s.rdtscQ = make([]readyRef, 0, capacity)
+	s.loads.init(capacity)
+	s.stores.init(capacity)
 	s.heap = make([]compNode, 0, capacity)
 	s.waiterHead = make([]int32, capacity)
 	s.waitNext = make([]int32, 2*capacity)
-	s.occSeq = make([]uint64, capacity)
-	s.occVal = make([]uint64, capacity)
 	for i := range s.waiterHead {
 		s.waiterHead[i] = -1
 	}
@@ -137,9 +175,11 @@ func (s *schedState) heapPop() {
 
 // schedDispatch links a freshly dispatched entry into the wakeup state:
 // waiter nodes for operands still pending on a producer, or straight
-// onto its class ready list when everything was captured at dispatch.
+// onto its class ready list when everything was captured at dispatch;
+// and a memory op onto the back of its queue.
 func (ctx *Context) schedDispatch(e *pipeline.Entry) {
 	s := &ctx.sched
+	s.queueMemOp(e)
 	n := int8(0)
 	for i := range e.Src {
 		if e.Src[i].Ready {
@@ -157,34 +197,41 @@ func (ctx *Context) schedDispatch(e *pipeline.Entry) {
 	}
 }
 
-// readyInsert places e on its port class's ready list, keeping the list
-// seq-sorted. Dispatch-time inserts are always the youngest seq so far
-// (append); broadcast-time wakeups of older entries binary-insert.
+// queueMemOp appends a load or store to the back of its queue.
+func (s *schedState) queueMemOp(e *pipeline.Entry) {
+	switch op := e.Instr.Op; {
+	case op.IsLoad():
+		s.loads.insert(e)
+	case op.IsStore():
+		s.stores.insert(e)
+	}
+}
+
+// popMemOp pops the retiring ROB head e off the front of its queue.
+func (s *schedState) popMemOp(e *pipeline.Entry) {
+	switch op := e.Instr.Op; {
+	case op.IsLoad():
+		s.loads.pop()
+	case op.IsStore():
+		s.stores.pop()
+	}
+}
+
+// readyInsert places e on its ready list.
 func (ctx *Context) readyInsert(e *pipeline.Entry) {
-	if e.Instr.Op == isa.OpRdtsc {
-		ctx.sched.rdtscQ = append(ctx.sched.rdtscQ, readyRef{seq: e.Seq, slot: e.Slot})
-		return
+	l := rdtscList
+	if e.Instr.Op != isa.OpRdtsc {
+		l = int(pipeline.ClassOf(e.Instr.Op))
 	}
-	cls := pipeline.ClassOf(e.Instr.Op)
-	list := ctx.sched.ready[cls]
-	n := len(list)
-	if n == 0 || list[n-1].seq < e.Seq {
-		ctx.sched.ready[cls] = append(list, readyRef{seq: e.Seq, slot: e.Slot})
-		return
-	}
-	i := sort.Search(n, func(i int) bool { return list[i].seq > e.Seq })
-	list = append(list, readyRef{})
-	copy(list[i+1:], list[i:])
-	list[i] = readyRef{seq: e.Seq, slot: e.Slot}
-	ctx.sched.ready[cls] = list
+	ctx.sched.ready[l].insert(e)
 }
 
 // broadcast delivers a completed producer's result to every waiting
-// operand: the capture the consumers' OperandsReady check relies on.
-// When a shadow tracker is attached the producer's final taint rides
-// along in PendShadow (folded into SrcShadow at the consumer's issue, so
-// taint visibility timing is unchanged). Consumers whose last pending
-// operand arrives move to their ready list.
+// operand, capturing it into the consumer. When a shadow tracker is
+// attached the producer's final taint rides along in PendShadow (folded
+// into SrcShadow at the consumer's issue, so taint visibility timing is
+// unchanged). Consumers whose last pending operand arrives move to their
+// ready list.
 //
 // The list is consumed whole. A node can only be stale here if its
 // consumer slot was recycled without an intervening squash — impossible,
@@ -228,15 +275,17 @@ func (ctx *Context) schedRebuild() {
 	s := &ctx.sched
 	s.gen++
 	s.heap = s.heap[:0]
-	s.rdtscQ = s.rdtscQ[:0]
 	for i := range s.ready {
-		s.ready[i] = s.ready[i][:0]
+		s.ready[i].reset()
 	}
+	s.loads.reset()
+	s.stores.reset()
 	for i := range s.waiterHead {
 		s.waiterHead[i] = -1
 	}
 	shadow := ctx.core.shadow != nil
 	for _, e := range ctx.rob.Entries() {
+		s.queueMemOp(e)
 		switch e.State {
 		case pipeline.StateDispatched:
 			n := int8(0)
@@ -260,7 +309,6 @@ func (ctx *Context) schedRebuild() {
 			}
 			e.NPending = n
 			if n == 0 {
-				// ROB order is seq order: the appends inside stay sorted.
 				ctx.readyInsert(e)
 			}
 		case pipeline.StateIssued:

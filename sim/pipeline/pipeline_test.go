@@ -81,55 +81,6 @@ func TestROBSquashYounger(t *testing.T) {
 	}
 }
 
-func TestROBWalkOrder(t *testing.T) {
-	r := NewROB(4)
-	for i := uint64(0); i < 3; i++ {
-		alloc(r, i, isa.OpNop)
-	}
-	var seen []uint64
-	r.Walk(func(e *Entry) bool {
-		seen = append(seen, e.Seq)
-		return true
-	})
-	if len(seen) != 3 || seen[0] != 0 || seen[2] != 2 {
-		t.Errorf("walk order = %v", seen)
-	}
-	seen = seen[:0]
-	r.Walk(func(e *Entry) bool {
-		seen = append(seen, e.Seq)
-		return false
-	})
-	if len(seen) != 1 {
-		t.Errorf("walk did not stop early: %v", seen)
-	}
-}
-
-func TestOperandsReadyIsPureFlagCheck(t *testing.T) {
-	r := NewROB(4)
-	prod := alloc(r, 0, isa.OpAdd)
-	cons := alloc(r, 1, isa.OpAdd)
-	cons.Src[0] = Operand{Producer: prod}
-	cons.Src[1] = Operand{Ready: true, Value: 7}
-	if cons.OperandsReady() {
-		t.Error("ready before the engine captured the operand")
-	}
-	// Completing the producer alone changes nothing: capture is the
-	// cycle engine's completion broadcast, not a lazy deref here.
-	prod.State = StateCompleted
-	prod.Result = 42
-	if cons.OperandsReady() {
-		t.Error("OperandsReady dereferenced the producer")
-	}
-	cons.Src[0].Ready = true
-	cons.Src[0].Value = prod.Result
-	if !cons.OperandsReady() || cons.Src[0].Value != 42 {
-		t.Error("captured operand not ready")
-	}
-	if cons.Src[0].Producer != prod {
-		t.Error("provenance link lost after capture")
-	}
-}
-
 func TestROBSlotRecycling(t *testing.T) {
 	r := NewROB(2)
 	a := alloc(r, 1, isa.OpNop)

@@ -127,13 +127,6 @@ type Entry struct {
 	CtrlShadow uint64
 }
 
-// OperandsReady reports whether both sources are available. Values are
-// captured eagerly by the cycle engine (at dispatch or at the producer's
-// completion broadcast), so this is a pure flag check.
-func (e *Entry) OperandsReady() bool {
-	return e.Src[0].Ready && e.Src[1].Ready
-}
-
 // ROB is one hardware context's reorder buffer: a FIFO of in-flight
 // instructions in program order. (SMT cores statically partition the
 // physical ROB; modelling one ROB per context matches that and keeps
@@ -194,9 +187,6 @@ func (r *ROB) Head() *Entry {
 	}
 	return r.entries[0]
 }
-
-// At returns the i-th oldest entry.
-func (r *ROB) At(i int) *Entry { return r.entries[i] }
 
 // BySlot returns the entry occupying slab slot i. The caller must
 // validate it still belongs to the expected dynamic instruction (compare
@@ -287,21 +277,9 @@ func (r *ROB) Reset() {
 	}
 }
 
-// Walk calls fn on each in-flight entry, oldest first, stopping early if
-// fn returns false.
-func (r *ROB) Walk(fn func(*Entry) bool) {
-	for _, e := range r.entries {
-		if !fn(e) {
-			return
-		}
-	}
-}
-
 // Entries returns the in-flight entries, oldest first, as a read-only
-// view of the ROB's backing slice. The cycle engine iterates it directly
-// instead of through Walk: a closure per stage per context per cycle is
-// real heap traffic on the hot path. A squash during iteration truncates
+// view of the ROB's backing slice. A squash during iteration truncates
 // the ROB but leaves the removed entries marked StateSquashed in the
-// slab, so callers that keep ranging a snapshot see them in a state
-// their filters already skip — the same contract Walk had.
+// slab, so a caller that keeps ranging the slice it got before the
+// squash sees them in a state that its filters must skip.
 func (r *ROB) Entries() []*Entry { return r.entries }
