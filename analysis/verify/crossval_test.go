@@ -16,7 +16,7 @@ import (
 
 type crossCase struct {
 	name    string
-	layout  func(t *testing.T) *victim.Layout
+	layout  func(t testing.TB) *victim.Layout
 	handle  string // symbol of the replay-handle page
 	verdict Verdict
 }
@@ -25,25 +25,25 @@ func crossCases() []crossCase {
 	return []crossCase{
 		{
 			name:    "controlflow",
-			layout:  func(*testing.T) *victim.Layout { return victim.ControlFlowSecret(true) },
+			layout:  func(testing.TB) *victim.Layout { return victim.ControlFlowSecret(true) },
 			handle:  "handle",
 			verdict: Leaky,
 		},
 		{
 			name:    "singlesecret",
-			layout:  func(*testing.T) *victim.Layout { return victim.SingleSecret(3, true) },
+			layout:  func(testing.TB) *victim.Layout { return victim.SingleSecret(3, true) },
 			handle:  "count",
 			verdict: Leaky,
 		},
 		{
 			name:    "loopsecret",
-			layout:  func(*testing.T) *victim.Layout { return victim.LoopSecret([]byte{3, 1, 4, 1, 5}) },
+			layout:  func(testing.TB) *victim.Layout { return victim.LoopSecret([]byte{3, 1, 4, 1, 5}) },
 			handle:  "handle",
 			verdict: Leaky,
 		},
 		{
 			name: "aes",
-			layout: func(t *testing.T) *victim.Layout {
+			layout: func(t testing.TB) *victim.Layout {
 				v, err := victim.NewAESVictim([]byte("0123456789abcdef"), []byte("fedcba9876543210"))
 				if err != nil {
 					t.Fatal(err)
@@ -58,7 +58,7 @@ func crossCases() []crossCase {
 		},
 		{
 			name: "modexp",
-			layout: func(t *testing.T) *victim.Layout {
+			layout: func(t testing.TB) *victim.Layout {
 				v, err := victim.NewModExpVictim(5, 0xb, 97, 4)
 				if err != nil {
 					t.Fatal(err)
@@ -70,20 +70,20 @@ func crossCases() []crossCase {
 		},
 		{
 			name:    "rdrand",
-			layout:  func(*testing.T) *victim.Layout { return victim.RdrandBias() },
+			layout:  func(testing.TB) *victim.Layout { return victim.RdrandBias() },
 			handle:  "handle",
 			verdict: Leaky,
 		},
 		{
 			name:    "ctcontrol",
-			layout:  func(*testing.T) *victim.Layout { return victim.ConstantTime() },
+			layout:  func(testing.TB) *victim.Layout { return victim.ConstantTime() },
 			handle:  "handle",
 			verdict: ProvenSafe,
 		},
 	}
 }
 
-func subjectFor(t *testing.T, c crossCase) *Subject {
+func subjectFor(t testing.TB, c crossCase) *Subject {
 	lay := c.layout(t)
 	sub := NewSubject(lay)
 	sub.Handle = lay.Sym(c.handle)

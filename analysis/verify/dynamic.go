@@ -55,13 +55,20 @@ func (a Assignment) key() string {
 }
 
 // runner drives full replay-attack runs of the subject under concrete
-// secret assignments and projects their transient footprints.
+// secret assignments and projects their transient footprints. It boots
+// the baseline assignment once, checkpoints it, and forks every run
+// from that checkpoint: the program enters the machine only at
+// Layout.Start, so one installed image serves every assignment.
 type runner struct {
 	sub      *Subject
 	cfg      Config
 	ex       *explorer
 	handleVA mem.Addr
 	memo     map[string]trace.Projections
+
+	rig  *platform.Rig        // nil until the first run
+	cp   *platform.Checkpoint // the booted baseline, before any run
+	proj trace.Projector
 }
 
 func newRunner(sub *Subject, cfg Config, ex *explorer) *runner {
@@ -86,16 +93,40 @@ func (r *runner) run(asg Assignment) (trace.Projections, error) {
 	return p, err
 }
 
-// runOne boots a fresh platform with the assignment applied, arms the
-// MicroScope module on the replay handle, and runs to completion.
+// runOne restores the installed platform, applies the assignment, and
+// replays the subject to completion under the Projector.
 func (r *runner) runOne(asg Assignment) (trace.Projections, error) {
 	if r.handleVA == 0 {
 		return trace.Projections{}, fmt.Errorf("verify: no replay handle known for %q", r.sub.Layout.Name)
 	}
-	rig, lay, err := asg.Boot(r.sub.Layout)
+	if r.rig == nil {
+		rig, _, err := Assignment{}.Boot(r.sub.Layout)
+		if err != nil {
+			return trace.Projections{}, err
+		}
+		cp, err := rig.Checkpoint()
+		if err != nil {
+			return trace.Projections{}, err
+		}
+		rig.Core.SetTracer(&r.proj)
+		r.rig, r.cp = rig, cp
+	} else if err := r.rig.Restore(r.cp); err != nil {
+		return trace.Projections{}, err
+	}
+	lay, err := asg.apply(r.rig, r.sub.Layout)
 	if err != nil {
 		return trace.Projections{}, err
 	}
+	r.proj.Reset()
+	if err := r.replay(r.rig, lay, asg); err != nil {
+		return trace.Projections{}, err
+	}
+	return r.proj.Projections(), nil
+}
+
+// replay arms the MicroScope module on the replay handle, starts the
+// applied layout and runs to completion.
+func (r *runner) replay(rig *platform.Rig, lay *victim.Layout, asg Assignment) error {
 	rcp := &microscope.Recipe{
 		Name:           "verify-" + lay.Name,
 		Victim:         rig.Victim,
@@ -104,52 +135,70 @@ func (r *runner) runOne(asg Assignment) (trace.Projections, error) {
 		MaxReplays:     r.cfg.Replays,
 	}
 	if err := rig.Module.Install(rcp); err != nil {
-		return trace.Projections{}, err
+		return err
 	}
-
-	rec := trace.NewRecorder()
-	rig.Core.SetTracer(rec)
 	asg.Start(rig, lay)
 	if err := rig.Run(r.cfg.MaxCycles); err != nil {
-		return trace.Projections{}, fmt.Errorf("verify: run of %q: %w", lay.Name, err)
+		return fmt.Errorf("verify: run of %q: %w", lay.Name, err)
 	}
-	return trace.ProjectTransient(rec.Events()), nil
+	return nil
 }
 
-// Boot boots a fresh platform and applies the assignment up to the
-// start of the run: RDRAND seed, patched secret immediates, installed
-// layout, secret memory words. It returns the installed (patched)
-// layout; the caller arms the module, then calls Start. The verifier
-// and the SpecSan replay of a witness both set up their runs this way.
+// Boot boots a fresh platform under the assignment's RDRAND seed,
+// installs the layout and applies the assignment. It returns the layout
+// to start; the caller arms the module, then calls Start. SpecSan's
+// replay of a witness sets up its run this way. The verifier boots the
+// baseline once and forks its runs from it (runner.runOne), through the
+// same apply.
 func (a Assignment) Boot(lay *victim.Layout) (*platform.Rig, *victim.Layout, error) {
 	cfg := cpu.DefaultConfig()
-	if a.SeedSet {
-		cfg.RandSeed = a.Seed
-	}
+	cfg.RandSeed = a.seed()
 	rig, err := platform.New(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
+	if err := rig.InstallVictim(lay); err != nil {
+		return nil, nil, err
+	}
+	lay, err = a.apply(rig, lay)
+	if err != nil {
+		return nil, nil, err
+	}
+	return rig, lay, nil
+}
+
+// seed is the RDRAND seed a run of the assignment uses: its own, or
+// the default, so that no run inherits another run's seed.
+func (a Assignment) seed() uint64 {
+	if a.SeedSet {
+		return a.Seed
+	}
+	return cpu.DefaultConfig().RandSeed
+}
+
+// apply applies the assignment to a rig holding lay's installed memory
+// image and not yet started: it seeds RDRAND, writes the secret memory
+// words, and returns lay with its secret immediates patched (the
+// program enters the machine only at Start).
+func (a Assignment) apply(rig *platform.Rig, lay *victim.Layout) (*victim.Layout, error) {
+	rig.Core.SetRandSeed(a.seed())
 	if len(a.Regs) > 0 {
 		patched := *lay
 		patched.Prog = patchSecretImms(lay.Prog, a.Regs)
 		lay = &patched
 	}
-	if err := rig.InstallVictim(lay); err != nil {
-		return nil, nil, err
-	}
 	for _, mv := range a.Mems {
 		var b [8]byte
 		binary.LittleEndian.PutUint64(b[:], mv.Val)
 		if err := rig.Kernel.WriteVirt(rig.Victim, mv.Addr, b[:]); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
-	return rig, lay, nil
+	return lay, nil
 }
 
-// Start starts the layout Boot returned on the victim context and sets
-// the assigned secret registers.
+// Start starts the layout Boot or apply returned on the victim context
+// and sets the assigned secret registers.
 func (a Assignment) Start(rig *platform.Rig, lay *victim.Layout) {
 	lay.Start(rig.Kernel, 0)
 	for _, rv := range a.Regs {

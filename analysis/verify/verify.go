@@ -13,9 +13,10 @@
 //   - Every LEAKY verdict ships a witness: two concrete secret
 //     assignments whose full replay-attack runs (under the MicroScope
 //     module, faulting and replaying the victim's handle) produce
-//     different transient channel projections (sim/trace.ProjectTransient)
-//     on the leak channel the analysis claimed. The leak is not a
-//     possibility; it has been observed.
+//     different transient channel projections (sim/trace.Projector) on
+//     the leak channel the analysis claimed. The leak is not a
+//     possibility; it has been observed. Every run forks from one
+//     checkpoint of the installed subject (dynamic.go).
 //   - Every PROVEN-SAFE verdict ships a certificate: an N-trial
 //     randomized secret differential in which every trial's transient
 //     cache, divider-port and divide-latency projections are identical

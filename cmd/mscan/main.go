@@ -41,10 +41,14 @@
 //	1  findings exist (scan mode) or verdict LEAKY (-prove)
 //	2  verdict UNKNOWN (-prove)
 //
-// Usage and input errors always exit 3. Without -fail the exit status is
-// 0 whenever a report was produced. Under -prove -repair the exit code
-// reflects the original program's verdict; the repair outcome is
-// informational.
+// Usage and input errors always exit 3, before anything runs: among
+// them a negative -rob, -trials or -max-paths, -witness-pairs below -1,
+// and a flag given without the mode that reads it (-repair, -witness,
+// -trials, -witness-pairs and -max-paths need -prove, -handle needs
+// -prove or -sanitize, -secret-reg and -secret-mem need -asm). Without
+// -fail the exit status is 0 whenever a report was produced. Under
+// -prove -repair the exit code reflects the original program's verdict;
+// the repair outcome is informational.
 package main
 
 import (
@@ -85,6 +89,9 @@ type options struct {
 	trials       int
 	witnessPairs int
 	maxPaths     int
+
+	// set names the flags given on the command line.
+	set map[string]bool
 }
 
 func newFlagSet() *flag.FlagSet {
@@ -112,7 +119,41 @@ func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 	if err := fs.Parse(args); err != nil {
 		return o, err
 	}
+	o.set = make(map[string]bool)
+	fs.Visit(func(f *flag.Flag) { o.set[f.Name] = true })
 	return o, nil
+}
+
+// checkFlags rejects out-of-range values, and flags given without the
+// mode that reads them, so that no flag is silently ignored.
+func checkFlags(o options) error {
+	for _, f := range []struct {
+		name   string
+		v, min int
+	}{
+		{"rob", o.rob, 0},
+		{"trials", o.trials, 0},
+		{"max-paths", o.maxPaths, 0},
+		{"witness-pairs", o.witnessPairs, -1},
+	} {
+		if f.v < f.min {
+			return fmt.Errorf("-%s %d is out of range (minimum %d)", f.name, f.v, f.min)
+		}
+	}
+	for _, f := range []string{"repair", "witness", "trials", "witness-pairs", "max-paths"} {
+		if o.set[f] && !o.prove {
+			return fmt.Errorf("-%s requires -prove", f)
+		}
+	}
+	if o.set["handle"] && !o.prove && !o.sanitize {
+		return fmt.Errorf("-handle requires -prove or -sanitize")
+	}
+	for _, f := range []string{"secret-reg", "secret-mem"} {
+		if o.set[f] && o.asm == "" {
+			return fmt.Errorf("-%s requires -asm", f)
+		}
+	}
+	return nil
 }
 
 // builtin describes one -victim target: a constructor returning the
@@ -168,6 +209,9 @@ func main() {
 // run executes one scan or verification and returns the process exit
 // code. Any returned error is a usage or input error (code exitUsage).
 func run(o options, out io.Writer) (int, error) {
+	if err := checkFlags(o); err != nil {
+		return exitUsage, err
+	}
 	if o.victim != "" && o.asm != "" {
 		return exitUsage, fmt.Errorf("-victim and -asm are mutually exclusive")
 	}

@@ -190,6 +190,16 @@ func NewCore(cfg Config, phys *mem.PhysMem) *Core {
 // Config returns the core's configuration.
 func (c *Core) Config() Config { return c.cfg }
 
+// SetRandSeed re-seeds the RDRAND source: the RNG state and
+// Config().RandSeed become what NewCore gives a core whose
+// Config.RandSeed is seed. Restore rewrites the RNG state from the image,
+// so a run forked from a shared checkpoint takes its own seed this way.
+// The RDRAND record log (RdrandLog) is left as it is.
+func (c *Core) SetRandSeed(seed uint64) {
+	c.cfg.RandSeed = seed
+	c.rngState = seed | 1
+}
+
 // Phys returns the physical memory.
 func (c *Core) Phys() *mem.PhysMem { return c.phys }
 

@@ -3,6 +3,7 @@ package trace
 import (
 	"microscope/sim/cpu"
 	"microscope/sim/isa"
+	"microscope/sim/pipeline"
 )
 
 // Channel projections over the transient event stream.
@@ -57,106 +58,119 @@ func (p Projections) Equal(q Projections) bool {
 	return p.Cache == q.Cache && p.Port == q.Port && p.Latency == q.Latency
 }
 
-// Recorder is a cpu.Tracer that buffers the full event stream for
-// after-the-run analysis (the transient/retired split needs the whole
-// run before any event can be classified). Unlike Hasher it allocates;
-// attach it to bounded verification runs, not open-ended experiments.
-type Recorder struct {
-	events []cpu.Event
-}
-
-// NewRecorder returns an empty Recorder.
-func NewRecorder() *Recorder { return &Recorder{} }
-
-// Trace implements cpu.Tracer.
-func (r *Recorder) Trace(ev cpu.Event) { r.events = append(r.events, ev) }
-
-// Events returns the buffered stream (not a copy).
-func (r *Recorder) Events() []cpu.Event { return r.events }
-
-// Reset drops the buffered events, keeping the backing array.
-func (r *Recorder) Reset() { r.events = r.events[:0] }
-
 // CacheLineShift converts an address to its cache-line number in the
 // projection (64-byte lines, matching sim/cache).
 const CacheLineShift = 6
 
-// instrKey identifies one dynamic instruction across its events.
-type instrKey struct {
-	ctx int
-	seq uint64
+// memAccess is a memory issue or fault: the cache-digest element.
+type memAccess struct {
+	instrKey
+	line  uint64
+	store bool
 }
 
-// ProjectTransient computes the per-channel digests of a run's transient
-// instructions. A dynamic instruction is transient iff no EvRetire event
-// carries its (context, seq) pair; events with Seq 0 and no ROB entry
-// (EvTxAbort, preempt squashes) belong to no instruction and are
-// ignored. The digests fold events in stream order, so two runs agree
-// iff their transient footprints agree element by element.
-func ProjectTransient(events []cpu.Event) Projections {
-	retired := make(map[instrKey]bool)
-	for _, ev := range events {
-		if ev.Kind == cpu.EvRetire {
-			retired[instrKey{ev.Context, ev.Seq}] = true
-		}
-	}
-	var p Projections
-	p.Cache = fnvOffset
-	p.Port = fnvOffset
-	p.Latency = fnvOffset
+// divEdge is the issue or complete edge of a divide: the port-digest
+// element, and on a complete edge the latency-digest element.
+type divEdge struct {
+	instrKey
+	kind  cpu.EventKind
+	op    isa.Op
+	port  pipeline.Port
+	cycle uint64
+	// issue is, on a complete edge, the cycle of the instruction's last
+	// divide issue before it; hasIssue is false when there was none.
+	issue    uint64
+	hasIssue bool
+}
 
-	issueCycle := make(map[instrKey]uint64)
-	seen := make(map[instrKey]bool)
-	for _, ev := range events {
-		if ev.Seq == 0 || retired[instrKey{ev.Context, ev.Seq}] {
-			continue
-		}
-		k := instrKey{ev.Context, ev.Seq}
-		if !seen[k] {
-			seen[k] = true
-			p.Transient++
-		}
-		op := ev.Instr.Op
-		switch {
-		case op.IsMem() && (ev.Kind == cpu.EvIssue || ev.Kind == cpu.EvFault):
-			// A faulting access still performed its translation walk and
-			// primed the walker caches; its target line is part of the
-			// footprint the attacker models.
-			x := p.Cache
-			x = fnvWord(x, uint64(int64(ev.Context)))
-			x = fnvWord(x, ev.Addr>>CacheLineShift)
-			store := uint64(0)
-			if op.IsStore() {
-				store = 1
-			}
-			p.Cache = fnvWord(x, store)
-			p.CacheN++
-		}
-		if op == isa.OpDiv || op == isa.OpFDiv {
-			//simlint:enumexempt port-digest projection deliberately samples only the issue/complete edges of divides; other event kinds carry no port contention signal
-			switch ev.Kind {
-			case cpu.EvIssue:
-				issueCycle[k] = ev.Cycle
-				fallthrough
-			case cpu.EvComplete:
-				x := p.Port
-				x = fnvWord(x, uint64(int64(ev.Context)))
-				x = fnvWord(x, uint64(int64(ev.Kind)))
-				x = fnvWord(x, ev.Cycle)
-				x = fnvWord(x, uint64(int64(ev.Port)))
-				p.Port = fnvWord(x, uint64(int64(op)))
-				p.PortN++
-			}
-			if ev.Kind == cpu.EvComplete {
-				if ic, ok := issueCycle[k]; ok {
-					x := p.Latency
-					x = fnvWord(x, uint64(int64(ev.Context)))
-					x = fnvWord(x, uint64(int64(op)))
-					p.Latency = fnvWord(x, ev.Cycle-ic)
-					p.LatencyN++
+// Projector is a cpu.Tracer that computes the Projections of the run it
+// observes. A dynamic instruction is transient iff no EvRetire event
+// carries its (context, seq) pair, so no event can be classified before
+// the run ends; the Projector therefore buffers, but only what the three
+// digests read: the cache line and store bit of memory issues and
+// faults, the issue and complete edges of divides, and which
+// instructions appeared and which retired. Events with Seq 0 (EvTxAbort,
+// preempt squashes) belong to no instruction and are ignored. Reset
+// keeps the buffers, so once they have grown to a run's size, tracing
+// allocates nothing.
+type Projector struct {
+	instrs instrSet
+	mem    []memAccess
+	div    []divEdge
+}
+
+// Trace implements cpu.Tracer.
+func (p *Projector) Trace(ev cpu.Event) {
+	if ev.Seq == 0 {
+		return
+	}
+	k := instrKey{ev.Context, ev.Seq}
+	op := ev.Instr.Op
+	p.instrs.add(k, ev.Kind == cpu.EvRetire)
+	if op.IsMem() && (ev.Kind == cpu.EvIssue || ev.Kind == cpu.EvFault) {
+		// A faulting access still performed its translation walk and
+		// primed the walker caches; its target line is part of the
+		// footprint the attacker models.
+		p.mem = append(p.mem, memAccess{k, ev.Addr >> CacheLineShift, op.IsStore()})
+	}
+	if (op == isa.OpDiv || op == isa.OpFDiv) && (ev.Kind == cpu.EvIssue || ev.Kind == cpu.EvComplete) {
+		e := divEdge{instrKey: k, kind: ev.Kind, op: op, port: ev.Port, cycle: ev.Cycle}
+		if ev.Kind == cpu.EvComplete {
+			// The divider is not pipelined, so the issue edge is among
+			// the last few.
+			for i := len(p.div) - 1; i >= 0; i-- {
+				if d := p.div[i]; d.kind == cpu.EvIssue && d.instrKey == k {
+					e.issue, e.hasIssue = d.cycle, true
+					break
 				}
 			}
 		}
+		p.div = append(p.div, e)
 	}
-	return p
+}
+
+// Reset empties the Projector for the next run, keeping its buffers.
+func (p *Projector) Reset() {
+	p.instrs.reset()
+	p.mem, p.div = p.mem[:0], p.div[:0]
+}
+
+// Projections returns the per-channel digests of the transient
+// instructions observed since the last Reset. The digests fold their
+// elements in stream order, so two runs agree iff their transient
+// footprints agree element by element.
+func (p *Projector) Projections() Projections {
+	q := Projections{Cache: fnvOffset, Port: fnvOffset, Latency: fnvOffset}
+	q.Transient = p.instrs.transient
+	for _, m := range p.mem {
+		if p.instrs.retired(m.instrKey) {
+			continue
+		}
+		x := fnvWord(q.Cache, uint64(int64(m.ctx)))
+		x = fnvWord(x, m.line)
+		store := uint64(0)
+		if m.store {
+			store = 1
+		}
+		q.Cache = fnvWord(x, store)
+		q.CacheN++
+	}
+	for _, d := range p.div {
+		if p.instrs.retired(d.instrKey) {
+			continue
+		}
+		x := fnvWord(q.Port, uint64(int64(d.ctx)))
+		x = fnvWord(x, uint64(int64(d.kind)))
+		x = fnvWord(x, d.cycle)
+		x = fnvWord(x, uint64(int64(d.port)))
+		q.Port = fnvWord(x, uint64(int64(d.op)))
+		q.PortN++
+		if d.hasIssue {
+			x := fnvWord(q.Latency, uint64(int64(d.ctx)))
+			x = fnvWord(x, uint64(int64(d.op)))
+			q.Latency = fnvWord(x, d.cycle-d.issue)
+			q.LatencyN++
+		}
+	}
+	return q
 }

@@ -10,6 +10,15 @@ import (
 func load(addr uint64) isa.Instr  { return isa.Instr{Op: isa.OpLoad, Rd: isa.R1, Rs1: isa.R2} }
 func store(addr uint64) isa.Instr { return isa.Instr{Op: isa.OpStore, Rs1: isa.R2, Rs2: isa.R1} }
 
+// project traces events through a fresh Projector.
+func project(events []cpu.Event) Projections {
+	var p Projector
+	for _, ev := range events {
+		p.Trace(ev)
+	}
+	return p.Projections()
+}
+
 // A retired load contributes nothing; the same load left unretired is
 // part of the transient cache footprint.
 func TestProjectTransientRetirementSplit(t *testing.T) {
@@ -20,7 +29,7 @@ func TestProjectTransientRetirementSplit(t *testing.T) {
 		// seq 2 never retires: squashed.
 		{Kind: cpu.EvSquash, Seq: 2, Instr: load(0x2000)},
 	}
-	p := ProjectTransient(events)
+	p := project(events)
 	if p.Transient != 1 {
 		t.Fatalf("Transient = %d, want 1", p.Transient)
 	}
@@ -30,7 +39,7 @@ func TestProjectTransientRetirementSplit(t *testing.T) {
 
 	// Retiring seq 2 as well must empty the projection.
 	events = append(events, cpu.Event{Kind: cpu.EvRetire, Seq: 2, Instr: load(0x2000)})
-	q := ProjectTransient(events)
+	q := project(events)
 	if q.Transient != 0 || q.CacheN != 0 {
 		t.Fatalf("fully retired stream projects %+v, want empty", q)
 	}
@@ -42,25 +51,25 @@ func TestProjectTransientCacheSemantics(t *testing.T) {
 	at := func(cycle, addr uint64, in isa.Instr) cpu.Event {
 		return cpu.Event{Kind: cpu.EvIssue, Cycle: cycle, Seq: 1, Addr: addr, Instr: in}
 	}
-	base := ProjectTransient([]cpu.Event{at(10, 0x1000, load(0x1000))})
-	shifted := ProjectTransient([]cpu.Event{at(999, 0x1000, load(0x1000))})
+	base := project([]cpu.Event{at(10, 0x1000, load(0x1000))})
+	shifted := project([]cpu.Event{at(999, 0x1000, load(0x1000))})
 	if !base.Equal(shifted) {
 		t.Error("cache projection must ignore cycle timestamps")
 	}
-	sameLine := ProjectTransient([]cpu.Event{at(10, 0x1004, load(0x1004))})
+	sameLine := project([]cpu.Event{at(10, 0x1004, load(0x1004))})
 	if base.Cache != sameLine.Cache {
 		t.Error("addresses on the same 64-byte line must project equally")
 	}
-	otherLine := ProjectTransient([]cpu.Event{at(10, 0x1040, load(0x1040))})
+	otherLine := project([]cpu.Event{at(10, 0x1040, load(0x1040))})
 	if base.Cache == otherLine.Cache {
 		t.Error("addresses on different lines must project differently")
 	}
-	asStore := ProjectTransient([]cpu.Event{at(10, 0x1000, store(0x1000))})
+	asStore := project([]cpu.Event{at(10, 0x1000, store(0x1000))})
 	if base.Cache == asStore.Cache {
 		t.Error("load and store to the same line must project differently")
 	}
 	// A faulting access still primed the walk: EvFault counts.
-	faulted := ProjectTransient([]cpu.Event{
+	faulted := project([]cpu.Event{
 		{Kind: cpu.EvFault, Cycle: 10, Seq: 1, Addr: 0x1000, Instr: load(0x1000)},
 	})
 	if faulted.CacheN != 1 {
@@ -73,7 +82,7 @@ func TestProjectTransientCacheSemantics(t *testing.T) {
 func TestProjectTransientDivChannels(t *testing.T) {
 	div := isa.Instr{Op: isa.OpFDiv, Rd: isa.F2, Rs1: isa.F0, Rs2: isa.F1}
 	run := func(issue, complete uint64) Projections {
-		return ProjectTransient([]cpu.Event{
+		return project([]cpu.Event{
 			{Kind: cpu.EvIssue, Cycle: issue, Seq: 1, Port: 2, Instr: div},
 			{Kind: cpu.EvComplete, Cycle: complete, Seq: 1, Port: 2, Instr: div},
 		})
@@ -97,24 +106,11 @@ func TestProjectTransientDivChannels(t *testing.T) {
 
 // Seq-0 events (preempts, tx aborts) belong to no instruction.
 func TestProjectTransientIgnoresSeqZero(t *testing.T) {
-	p := ProjectTransient([]cpu.Event{
+	p := project([]cpu.Event{
 		{Kind: cpu.EvSquash, Seq: 0, Detail: "preempt"},
 		{Kind: cpu.EvIssue, Seq: 0, Addr: 0x1000, Instr: load(0x1000)},
 	})
 	if p.Transient != 0 || p.CacheN != 0 {
 		t.Fatalf("seq-0 events projected: %+v", p)
-	}
-}
-
-func TestRecorder(t *testing.T) {
-	r := NewRecorder()
-	r.Trace(cpu.Event{Kind: cpu.EvIssue, Seq: 1})
-	r.Trace(cpu.Event{Kind: cpu.EvRetire, Seq: 1})
-	if len(r.Events()) != 2 {
-		t.Fatalf("Events() = %d, want 2", len(r.Events()))
-	}
-	r.Reset()
-	if len(r.Events()) != 0 {
-		t.Fatal("Reset did not clear events")
 	}
 }
