@@ -43,6 +43,14 @@ type BiasResult struct {
 // the lesson of §7.2 ("there should be such a fence, for security
 // reasons").
 func RunRDRANDBias(targetBit uint64, maxWindows int, fenced bool) (*BiasResult, error) {
+	return runRDRANDBias(targetBit, maxWindows, fenced, nil)
+}
+
+// runRDRANDBias is RunRDRANDBias with a hook that, when non-nil, runs
+// once the recipe is armed and before the victim starts; the failure
+// tests break the handle's page tables there.
+func runRDRANDBias(targetBit uint64, maxWindows int, fenced bool,
+	armed func(*platform.Rig, *microscope.Recipe)) (*BiasResult, error) {
 	cfg := cpu.DefaultConfig()
 	cfg.FencedRdrand = fenced
 	rig, err := platform.New(cfg)
@@ -100,31 +108,32 @@ func RunRDRANDBias(targetBit uint64, maxWindows int, fenced bool) (*BiasResult, 
 	if err := rig.Module.Install(rec); err != nil {
 		return nil, err
 	}
+	if armed != nil {
+		armed(rig, rec)
+	}
 	flushLines()
 	l.Start(rig.Kernel, 0)
 
-	// Drive the core cycle by cycle, watching the probe lines. When the
-	// observed bit matches the target, set the present bit immediately —
-	// before the in-flight walk concludes — so this very draw retires.
-	ctx := rig.Core.Context(0)
+	// Watch the probe lines after every cycle the core can act in. When
+	// the observed bit matches the target, set the present bit
+	// immediately — before the in-flight walk concludes — so this very
+	// draw retires.
 	accepted := false
-	for steps := 0; steps < 100_000_000 && !ctx.Halted(); steps++ {
-		rig.Core.Step()
+	wanted := func() bool {
 		if accepted || gaveUp {
-			continue
+			return false
 		}
-		if bit, ok := observeBit(); ok {
-			res.Observed = true
-			if bit == targetBit {
-				if _, err := as.SetPresent(l.Sym("handle"), true); err != nil {
-					return nil, err
-				}
-				accepted = true
-			}
-		}
+		bit, ok := observeBit()
+		res.Observed = res.Observed || ok
+		return ok && bit == targetBit
 	}
-	if !ctx.Halted() {
-		return nil, fmt.Errorf("experiments: rdrand victim did not finish")
+	accept := func() error {
+		accepted = true
+		_, err := as.SetPresent(l.Sym("handle"), true)
+		return err
+	}
+	if err := runReacting(rig, 100_000_000, wanted, accept); err != nil {
+		return nil, fmt.Errorf("experiments: rdrand bias: %w", err)
 	}
 	out, err := as.Read64Virt(l.Sym("out"))
 	if err != nil {

@@ -1,6 +1,12 @@
 package experiments
 
-import "testing"
+import (
+	"strings"
+	"testing"
+
+	"microscope/attack/microscope"
+	"microscope/attack/platform"
+)
 
 func TestRDRANDBiasSucceedsUnfenced(t *testing.T) {
 	for _, target := range []uint64{0, 1} {
@@ -34,5 +40,18 @@ func TestRDRANDBiasBlockedByFence(t *testing.T) {
 	}
 	if res.Windows < 50 {
 		t.Errorf("attacker gave up after %d windows, want %d (blind replays)", res.Windows, 50)
+	}
+}
+
+// A fault-handler failure halts the victim; the attack reports the
+// module's error instead of reading the halted victim's output as a
+// result. The fenced attacker is blind and gives up, so the release it
+// asks for is the step that fails.
+func TestRDRANDBiasReportsHandlerFailure(t *testing.T) {
+	res, err := runRDRANDBias(0, 5, true, func(rig *platform.Rig, rec *microscope.Recipe) {
+		breakRelease(t, rig, rec)
+	})
+	if err == nil || !strings.Contains(err.Error(), "microscope: release failed") {
+		t.Fatalf("runRDRANDBias = %+v, %v; want the module's release failure", res, err)
 	}
 }

@@ -36,7 +36,7 @@ const (
 	tournBackstopReplays = 40
 	tournHandlerLatency  = 2500
 	tournMaxCycles       = 50_000_000
-	tournMaxSteps        = 4_000_000
+	tournDriveMaxCycles  = 4_000_000
 	tournReprimes        = 12
 )
 
@@ -265,14 +265,10 @@ func RunTournament(opt TournamentOptions) (*TournamentMatrix, error) {
 // RunTournament; the fuzz harness feeds it mutant victims directly.
 func runTournamentMatrix(victims []tournVictim, defenses []defense.Defense,
 	handles []string, baseCfg cpu.Config, workers int) (*TournamentMatrix, error) {
-	// One warm checkpoint per victim: boot, install, capture. Every
-	// trial forks from here, so the 64 MB platform boots once per
+	// One warm checkpoint per victim: build, boot, install, capture.
+	// Every trial forks from here, so the 64 MB platform boots once per
 	// victim plus once per concurrent worker, not once per cell.
-	type warm struct {
-		cp   *platform.Checkpoint
-		pool *rigPool
-	}
-	warms := make([]warm, len(victims))
+	warms := make([]tournWarm, len(victims))
 	for i, v := range victims {
 		lay, err := v.Build()
 		if err != nil {
@@ -289,7 +285,7 @@ func runTournamentMatrix(victims []tournVictim, defenses []defense.Defense,
 		if err != nil {
 			return nil, fmt.Errorf("tournament: checkpoint %s: %w", v.Name, err)
 		}
-		warms[i] = warm{cp: cp, pool: newRigPool(cp, rig)}
+		warms[i] = tournWarm{lay: lay, cp: cp, pool: newRigPool(cp, rig)}
 	}
 
 	trials := len(victims) * len(defenses)
@@ -297,8 +293,7 @@ func runTournamentMatrix(victims []tournVictim, defenses []defense.Defense,
 		func(trial int) (tournTrial, error) {
 			v := victims[trial/len(defenses)]
 			d := defenses[trial%len(defenses)]
-			w := warms[trial/len(defenses)]
-			return runTournTrial(w.pool, w.cp, baseCfg, v, d, handles)
+			return runTournTrial(warms[trial/len(defenses)], baseCfg, v, d, handles)
 		})
 	if err != nil {
 		return nil, err
@@ -428,24 +423,30 @@ func pickHandles(names []string) ([]string, error) {
 	return out, nil
 }
 
+// tournWarm is one victim's warm state: its layout, the checkpoint of a
+// rig with the layout installed, and the pool of rigs forked from it.
+// Trials share the layout read-only; a defense that hardens it returns
+// a copy.
+type tournWarm struct {
+	lay  *victim.Layout
+	cp   *platform.Checkpoint
+	pool *rigPool
+}
+
 // runTournTrial runs one (victim, defense) pair: the control plus one
 // cell per handle class, all on a single pooled rig restored to the
 // victim's checkpoint between runs.
-func runTournTrial(pool *rigPool, cp *platform.Checkpoint, baseCfg cpu.Config,
+func runTournTrial(w tournWarm, baseCfg cpu.Config,
 	v tournVictim, d defense.Defense, handles []string) (tournTrial, error) {
-	rig, err := pool.get() // arrives restored to cp
+	rig, err := w.pool.get() // arrives restored to w.cp
 	if err != nil {
 		return tournTrial{}, err
 	}
-	defer pool.put(rig)
+	defer w.pool.put(rig)
 
 	cfg := baseCfg
 	d.Configure(&cfg)
-	lay, err := v.Build()
-	if err != nil {
-		return tournTrial{}, err
-	}
-	hardened, err := d.Harden(lay)
+	hardened, err := d.Harden(w.lay)
 	if err != nil {
 		return tournTrial{}, fmt.Errorf("tournament: harden %s/%s: %w", v.Name, d.Name(), err)
 	}
@@ -478,7 +479,7 @@ func runTournTrial(pool *rigPool, cp *platform.Checkpoint, baseCfg cpu.Config,
 	}
 
 	for _, h := range handles {
-		if err := rig.Restore(cp); err != nil {
+		if err := rig.Restore(w.cp); err != nil {
 			return out, err
 		}
 		if err := prep(); err != nil {
@@ -649,25 +650,25 @@ func driveTSX(rig *platform.Rig, v tournVictim, hardened *victim.Layout) (driveR
 	ctx := rig.Core.Context(0)
 	lastAborts := ctx.Stats().TxAborts
 	released := false
-	for steps := 0; steps < tournMaxSteps && !rig.Core.Halted(); steps++ {
-		rig.Core.Step()
-		if a := ctx.Stats().TxAborts; a != lastAborts {
-			res.replays += int(a - lastAborts)
-			lastAborts = a
-			if pb.sample() {
-				res.leaky++
-			}
-			if !released && (res.leaky >= tournSelectiveLeaks || res.replays >= tournBackstopReplays) {
-				if _, err := as.SetPresent(handleVA, true); err != nil {
-					return driveResult{}, err
-				}
-				rig.Kernel.Invlpg(rig.Victim, handleVA)
-				released = true
-			}
+	aborted := func() bool { return ctx.Stats().TxAborts != lastAborts }
+	err = runReacting(rig, tournDriveMaxCycles, aborted, func() error {
+		a := ctx.Stats().TxAborts
+		res.replays += int(a - lastAborts)
+		lastAborts = a
+		if pb.sample() {
+			res.leaky++
 		}
-	}
-	if !rig.Core.Halted() {
-		return driveResult{}, fmt.Errorf("tsx drive did not finish in %d steps", tournMaxSteps)
+		if !released && (res.leaky >= tournSelectiveLeaks || res.replays >= tournBackstopReplays) {
+			if _, err := as.SetPresent(handleVA, true); err != nil {
+				return err
+			}
+			rig.Kernel.Invlpg(rig.Victim, handleVA)
+			released = true
+		}
+		return nil
+	})
+	if err != nil {
+		return driveResult{}, err
 	}
 	res.cycles = rig.Core.Cycle() - start
 	return res, nil
@@ -714,23 +715,48 @@ func driveMispredict(rig *platform.Rig, v tournVictim, hardened *victim.Layout) 
 	}
 	last := startMis
 	reprimes := 0
-	for steps := 0; steps < tournMaxSteps && !rig.Core.Halted(); steps++ {
-		rig.Core.Step()
-		if m := ctx.Stats().Mispredicts; m != last {
-			last = m
-			if pb.sample() {
-				res.leaky++
-			}
-			if reprimes < tournReprimes {
-				prime()
-				reprimes++
-			}
+	mispredicted := func() bool { return ctx.Stats().Mispredicts != last }
+	err = runReacting(rig, tournDriveMaxCycles, mispredicted, func() error {
+		last = ctx.Stats().Mispredicts
+		if pb.sample() {
+			res.leaky++
 		}
-	}
-	if !rig.Core.Halted() {
-		return driveResult{}, fmt.Errorf("mispredict drive did not finish in %d steps", tournMaxSteps)
+		if reprimes < tournReprimes {
+			prime()
+			reprimes++
+		}
+		return nil
+	})
+	if err != nil {
+		return driveResult{}, err
 	}
 	res.replays = int(last - startMis)
 	res.cycles = rig.Core.Cycle() - start
 	return res, nil
+}
+
+// runReacting runs the rig until every loaded context halts, calling
+// react each time event holds; react must make event false again. The
+// cycles fast-forward skips are no-ops, so react runs after the same
+// cycles as it would with the core stepped one cycle at a time.
+// maxCycles bounds the whole run. It returns the module's fault-handler
+// failure, react's error, or the rig's timeout error.
+func runReacting(rig *platform.Rig, maxCycles uint64, event func() bool, react func() error) error {
+	end := rig.Core.Cycle() + maxCycles
+	for {
+		met, err := rig.RunUntil(event, end-rig.Core.Cycle())
+		if err != nil {
+			return err
+		}
+		if !met {
+			break
+		}
+		if err := react(); err != nil {
+			return err
+		}
+	}
+	if !rig.Core.Halted() {
+		return rig.TimeoutErr(maxCycles)
+	}
+	return nil
 }

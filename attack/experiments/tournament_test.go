@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
 	"microscope/attack/defense"
+	"microscope/attack/microscope"
+	"microscope/attack/platform"
 	"microscope/attack/victim"
 	"microscope/sim/cpu"
+	"microscope/sim/mem"
 )
 
 // The full matrix is expensive (7 victims x 10 defenses x 5 runs), so
@@ -297,6 +301,53 @@ func TestMispredictHandleIsBounded(t *testing.T) {
 	}
 }
 
+// breakRelease zeroes the leaf PTE of rec's handle page, as
+// attack/microscope's failure test does: the recipe stays armed, and the
+// release its fault handler attempts fails and halts the victim.
+func breakRelease(t testing.TB, rig *platform.Rig, rec *microscope.Recipe) {
+	t.Helper()
+	steps, err := rig.Module.SoftWalk(rec.Victim, rec.Handle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rig.Phys.Write64(steps[mem.PTE].EntryAddr, 0)
+}
+
+// The TSX-abort and mispredict drives fail with the module's error
+// instead of scoring a victim the fault handler halted as a finished
+// run. A recipe on loopsecret's pivot page releases at its first fault
+// and the release fails; the TSX drive reaches that fault once the
+// wrap's abort budget runs out and the victim runs untracked.
+func TestDrivesReportHandlerFailure(t *testing.T) {
+	vs, err := pickVictims([]string{"loopsecret"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := vs[0]
+	for _, h := range []string{"tsxabort", "mispredict"} {
+		lay, err := v.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rig, err := platform.New(cpu.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rig.InstallVictim(lay); err != nil {
+			t.Fatal(err)
+		}
+		rec := &microscope.Recipe{Name: "broken", Victim: rig.Victim, Handle: lay.Sym("pivot"), MaxReplays: 1}
+		if err := rig.Module.Install(rec); err != nil {
+			t.Fatal(err)
+		}
+		breakRelease(t, rig, rec)
+		res, err := driveHandle(rig, v, lay, h)
+		if err == nil || !strings.Contains(err.Error(), "microscope: release failed") {
+			t.Errorf("%s drive = %+v, %v; want the module's release failure", h, res, err)
+		}
+	}
+}
+
 // tournSubset is the reduced roster the invariance tests sweep: two
 // victims (one cache-probed with every handle class applicable, one
 // port-probed) across a detector, a preventer, an OS defense and the
@@ -309,31 +360,47 @@ func tournSubset() TournamentOptions {
 	}
 }
 
+// tournSubsetJSON runs the tournSubset matrix on a core with the given
+// fast-forward setting and worker count and returns its JSON.
+func tournSubsetJSON(t *testing.T, fastForward bool, workers int) []byte {
+	t.Helper()
+	opt := tournSubset()
+	victims, err := pickVictims(opt.Victims)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defenses, err := pickDefenses(opt.Defenses)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := cpu.DefaultConfig()
+	cfg.FastForward = fastForward
+	m, err := runTournamentMatrix(victims, defenses, TournamentHandles(), cfg, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := m.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // TestTournamentWorkerInvariance: matrix bytes are identical whether
 // trials run on one worker or many.
 func TestTournamentWorkerInvariance(t *testing.T) {
-	opt1 := tournSubset()
-	opt1.Workers = 1
-	optN := tournSubset()
-	optN.Workers = 4
-	m1, err := RunTournament(opt1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mN, err := RunTournament(optN)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b1, err := m1.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	bN, err := mN.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b1, bN) {
+	if !bytes.Equal(tournSubsetJSON(t, true, 1), tournSubsetJSON(t, true, 4)) {
 		t.Error("matrix bytes depend on the worker count")
+	}
+}
+
+// TestTournamentFastForwardInvariance: every drive runs on the rig
+// loop, which skips the cycles in which no pipeline stage can act; with
+// Config.FastForward off it steps every cycle. The matrix bytes must
+// not depend on which.
+func TestTournamentFastForwardInvariance(t *testing.T) {
+	if !bytes.Equal(tournSubsetJSON(t, true, 2), tournSubsetJSON(t, false, 2)) {
+		t.Error("matrix bytes depend on fast-forward")
 	}
 }
 
@@ -420,8 +487,9 @@ func mutantTournVictim(sel uint8, a uint64, tail []byte) (tournVictim, bool) {
 
 // FuzzTournamentDeterminism runs a mini-tournament (one mutant victim,
 // the undefended baseline plus one fuzz-chosen defense, all four handle
-// classes) at two worker counts and requires byte-identical matrices —
-// and, implicitly, no panics anywhere in the drivers.
+// classes) at two worker counts and with fast-forward off, and requires
+// byte-identical matrices — and, implicitly, no panics anywhere in the
+// drivers.
 func FuzzTournamentDeterminism(f *testing.F) {
 	f.Add(uint8(0), uint64(7), []byte{}, uint8(1))
 	f.Add(uint8(1), uint64(1), []byte{}, uint8(3))
@@ -435,11 +503,12 @@ func FuzzTournamentDeterminism(f *testing.F) {
 		roster := defense.All()
 		defs := []defense.Defense{roster[0], roster[1+int(defSel)%(len(roster)-1)]}
 		handles := TournamentHandles()
-		run := func(workers int) []byte {
-			m, err := runTournamentMatrix([]tournVictim{tv}, defs, handles,
-				cpu.DefaultConfig(), workers)
+		run := func(workers int, fastForward bool) []byte {
+			cfg := cpu.DefaultConfig()
+			cfg.FastForward = fastForward
+			m, err := runTournamentMatrix([]tournVictim{tv}, defs, handles, cfg, workers)
 			if err != nil {
-				t.Fatalf("workers=%d: %v", workers, err)
+				t.Fatalf("workers=%d fast-forward=%t: %v", workers, fastForward, err)
 			}
 			b, err := m.JSON()
 			if err != nil {
@@ -447,9 +516,30 @@ func FuzzTournamentDeterminism(f *testing.F) {
 			}
 			return b
 		}
-		if !bytes.Equal(run(1), run(3)) {
+		want := run(1, true)
+		if !bytes.Equal(want, run(3, true)) {
 			t.Errorf("mini-matrix bytes depend on worker count (sel=%d a=%#x def=%s)",
 				sel, a, defs[1].Name())
 		}
+		if !bytes.Equal(want, run(1, false)) {
+			t.Errorf("mini-matrix bytes depend on fast-forward (sel=%d a=%#x def=%s)",
+				sel, a, defs[1].Name())
+		}
 	})
+}
+
+var tournSink *TournamentMatrix
+
+// BenchmarkTournament runs the default matrix on one worker: the work of
+// one msbench tournament unit without the sweep's parallelism, so
+// allocs/op counts every allocation a cell makes.
+func BenchmarkTournament(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m, err := RunTournament(TournamentOptions{Workers: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		tournSink = m
+	}
 }

@@ -131,7 +131,8 @@ func NewModule(k *kernel.Kernel) *Module {
 // Err returns the first failure of the module's fault handler, or nil.
 // A handler that cannot re-arm or release a recipe's page (its page
 // tables no longer walk, say) halts the faulting context instead of
-// panicking, and records why here; Rig.Run reports it.
+// panicking, and records why here; platform.Rig's Run and RunUntil
+// report it.
 func (m *Module) Err() error {
 	if m.failure == "" {
 		return nil

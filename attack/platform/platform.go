@@ -69,37 +69,63 @@ func (r *Rig) AddMonitor(l *victim.Layout) error {
 
 // Run steps the core until every loaded context halts or maxCycles pass.
 // It returns the module's fault-handler failure (Module.Err), which
-// halts the faulting context, or an error on timeout. The timeout error
-// reports the PC and halt state of *every* loaded context: when the
-// monitor context (SMT context 1) is the one spinning, an error naming
-// only the victim's PC misdiagnoses the hang.
+// halts the faulting context, or TimeoutErr when the budget runs out.
 func (r *Rig) Run(maxCycles uint64) error {
-	r.Core.Run(maxCycles)
-	if err := r.Module.Err(); err != nil {
+	if _, err := r.RunUntil(nil, maxCycles); err != nil {
 		return err
 	}
 	if !r.Core.Halted() {
-		var sb strings.Builder
-		for i := 0; i < r.Core.Contexts(); i++ {
-			ctx := r.Core.Context(i)
-			if ctx.Program() == nil {
-				continue
-			}
-			// Name the context after the process the kernel actually has
-			// scheduled there: a monitor installed via kernel.Schedule
-			// directly (without AddMonitor) is still reported by name, and
-			// a rescheduled context 0 is not mislabelled "victim".
-			name := fmt.Sprintf("ctx%d", i)
-			if p, ok := r.Kernel.Running(i); ok {
-				name = p.Name
-			}
-			state := "spinning"
-			if ctx.Halted() {
-				state = "halted"
-			}
-			fmt.Fprintf(&sb, "; %s %s at pc=%d", name, state, ctx.PC())
-		}
-		return fmt.Errorf("platform: run exceeded %d cycles%s", maxCycles, sb.String())
+		return r.TimeoutErr(maxCycles)
 	}
 	return nil
+}
+
+// RunUntil runs the core until cond holds, every loaded context halts,
+// or maxCycles pass, fast-forwarding over stalls when the core's config
+// enables it (cond then sees the same sequence of values it would see
+// stepping every cycle; see cpu.Core.RunUntil). A nil cond runs to the
+// halt or the budget. It reports whether cond held and returns the
+// module's fault-handler failure (Module.Err): a failed handler halts
+// the faulting context, so a halted core alone does not mean the run
+// finished. An exhausted budget is not an error here; Run reports it,
+// and a caller that drives the core through several RunUntil calls
+// reports it with TimeoutErr.
+func (r *Rig) RunUntil(cond func() bool, maxCycles uint64) (bool, error) {
+	met := false
+	if cond == nil {
+		// Core.Run calls nothing per cycle.
+		r.Core.Run(maxCycles)
+	} else {
+		met = r.Core.RunUntil(cond, maxCycles)
+	}
+	return met, r.Module.Err()
+}
+
+// TimeoutErr is the error for a run that exceeded maxCycles before
+// every loaded context halted. It reports the PC and halt state of
+// *every* loaded context: when the monitor context (SMT context 1) is
+// the one spinning, an error naming only the victim's PC misdiagnoses
+// the hang.
+func (r *Rig) TimeoutErr(maxCycles uint64) error {
+	var sb strings.Builder
+	for i := 0; i < r.Core.Contexts(); i++ {
+		ctx := r.Core.Context(i)
+		if ctx.Program() == nil {
+			continue
+		}
+		// Name the context after the process the kernel actually has
+		// scheduled there: a monitor installed via kernel.Schedule
+		// directly (without AddMonitor) is still reported by name, and
+		// a rescheduled context 0 is not mislabelled "victim".
+		name := fmt.Sprintf("ctx%d", i)
+		if p, ok := r.Kernel.Running(i); ok {
+			name = p.Name
+		}
+		state := "spinning"
+		if ctx.Halted() {
+			state = "halted"
+		}
+		fmt.Fprintf(&sb, "; %s %s at pc=%d", name, state, ctx.PC())
+	}
+	return fmt.Errorf("platform: run exceeded %d cycles%s", maxCycles, sb.String())
 }

@@ -52,9 +52,12 @@ func TestRunTimeoutNamesEveryContext(t *testing.T) {
 	}
 }
 
-// A fault-handler failure halts the victim, so the core stops; Run must
-// still report the failure instead of a finished run.
-func TestRunReturnsModuleFailure(t *testing.T) {
+// broken starts the control-flow victim under a recipe whose release
+// fails: the handle's leaf PTE is zeroed after the recipe arms (as
+// attack/microscope's failure test does), so the 20th fault's release
+// halts the victim.
+func broken(t *testing.T) *Rig {
+	t.Helper()
 	rig, l, rec := armed(t, 20)
 	steps, err := rig.Module.SoftWalk(rig.Victim, rec.Handle)
 	if err != nil {
@@ -62,10 +65,70 @@ func TestRunReturnsModuleFailure(t *testing.T) {
 	}
 	rig.Phys.Write64(steps[mem.PTE].EntryAddr, 0)
 	l.Start(rig.Kernel, 0)
-	err = rig.Run(1_000_000)
+	return rig
+}
+
+// A fault-handler failure halts the victim, so the core stops; Run must
+// still report the failure instead of a finished run.
+func TestRunReturnsModuleFailure(t *testing.T) {
+	err := broken(t).Run(1_000_000)
 	if err == nil || !strings.Contains(err.Error(), "microscope: release failed") {
 		t.Fatalf("Run = %v, want the module's release failure", err)
 	}
+}
+
+// RunUntil stops where its condition first holds, returns the module's
+// failure when a handler step fails mid-run, and leaves an exhausted
+// budget to its caller: no error, the whole budget spent, and the
+// timeout error Run would have built still to be asked for.
+func TestRunUntil(t *testing.T) {
+	never := func() bool { return false }
+
+	t.Run("condition met", func(t *testing.T) {
+		rig, l, rec := armed(t, 3)
+		l.Start(rig.Kernel, 0)
+		met, err := rig.RunUntil(func() bool { return rec.Replays() == 2 }, 10_000_000)
+		if err != nil || !met {
+			t.Fatalf("RunUntil = %v, %v; want the condition met", met, err)
+		}
+		if rig.Core.Halted() {
+			t.Error("RunUntil ran to the halt past its condition")
+		}
+		if err := rig.Run(10_000_000); err != nil {
+			t.Fatalf("Run after RunUntil: %v", err)
+		}
+		if rec.TotalFaults() != 3 {
+			t.Errorf("the resumed run took %d handle faults, want 3", rec.TotalFaults())
+		}
+	})
+
+	t.Run("module failure", func(t *testing.T) {
+		met, err := broken(t).RunUntil(never, 1_000_000)
+		if met || err == nil || !strings.Contains(err.Error(), "microscope: release failed") {
+			t.Fatalf("RunUntil = %v, %v; want the module's release failure", met, err)
+		}
+	})
+
+	t.Run("budget exhausted", func(t *testing.T) {
+		const budget = 3000
+		rig, l, _ := armed(t, 0)
+		l.Start(rig.Kernel, 0)
+		start := rig.Core.Cycle()
+		met, err := rig.RunUntil(never, budget)
+		if met || err != nil {
+			t.Fatalf("RunUntil = %v, %v; want neither the condition nor an error", met, err)
+		}
+		if rig.Core.Halted() || rig.Core.Cycle()-start != budget {
+			t.Fatalf("RunUntil stopped after %d of %d cycles (halted=%t)",
+				rig.Core.Cycle()-start, budget, rig.Core.Halted())
+		}
+		twin, tl, _ := armed(t, 0)
+		tl.Start(twin.Kernel, 0)
+		want := twin.Run(budget)
+		if got := rig.TimeoutErr(budget); want == nil || got.Error() != want.Error() {
+			t.Errorf("TimeoutErr = %v, want Run's %v", got, want)
+		}
+	})
 }
 
 func TestAddMonitorNeedsSecondContext(t *testing.T) {

@@ -582,24 +582,17 @@ func runCheckpointed(out io.Writer, rig *platform.Rig, budget uint64) ([]cycleCh
 	if err := take(); err != nil {
 		return nil, err
 	}
-	spent := uint64(0)
-	for !rig.Core.Halted() && spent < budget {
-		n := every
-		if n > budget-spent {
-			n = budget - spent
+	end := rig.Core.Cycle() + budget
+	for !rig.Core.Halted() && rig.Core.Cycle() < end {
+		if _, err := rig.RunUntil(nil, min(every, end-rig.Core.Cycle())); err != nil {
+			return nil, err
 		}
-		spent += rig.Core.Run(n)
 		if err := take(); err != nil {
 			return nil, err
 		}
 	}
-	// A fault-handler failure halts the victim, so the loop above ends as
-	// if the run had finished: report it, as Rig.Run does.
-	if err := rig.Module.Err(); err != nil {
-		return nil, err
-	}
 	if !rig.Core.Halted() {
-		return nil, fmt.Errorf("run exceeded %d cycles", budget)
+		return nil, rig.TimeoutErr(budget)
 	}
 	fmt.Fprintf(out, "(%d checkpoints taken, every %d cycles)\n", len(cps), every)
 	return cps, nil
@@ -623,7 +616,11 @@ func reverseStep(out io.Writer, rig *platform.Rig, cps []cycleCheckpoint, target
 		return err
 	}
 	if target > best.Cycle {
-		rig.Core.Run(target - best.Cycle)
+		// A fixed cycle count: running out of it is the point, not an
+		// error.
+		if _, err := rig.RunUntil(nil, target-best.Cycle); err != nil {
+			return err
+		}
 	}
 	fmt.Fprintf(out, "\n-- reverse-step: restored cycle-%d checkpoint, re-ran to cycle %d --\n",
 		best.Cycle, rig.Core.Cycle())

@@ -314,6 +314,32 @@ func TestGoldenOutputs(t *testing.T) {
 	}
 }
 
+// brokenTimelineRig starts the control-flow victim under a replay
+// recipe whose release fails: the handle's leaf PTE is zeroed after the
+// recipe arms, so the fourth fault's release halts the victim.
+func brokenTimelineRig(t *testing.T) *platform.Rig {
+	t.Helper()
+	rig, err := platform.New(cpu.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := victim.ControlFlowSecret(true)
+	if err := rig.InstallVictim(l); err != nil {
+		t.Fatal(err)
+	}
+	rec := &microscope.Recipe{Name: "timeline", Victim: rig.Victim, Handle: l.Sym("handle"), MaxReplays: 4}
+	if err := rig.Module.Install(rec); err != nil {
+		t.Fatal(err)
+	}
+	steps, err := rig.Module.SoftWalk(rig.Victim, rec.Handle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rig.Phys.Write64(steps[mem.PTE].EntryAddr, 0)
+	l.Start(rig.Kernel, 0)
+	return rig
+}
+
 // A fault-handler failure halts the victim, so a -checkpoint-every run
 // stops early too; like the unchunked run (-checkpoint-every 0, which is
 // Rig.Run), it must return the module's failure instead of printing a
@@ -321,28 +347,35 @@ func TestGoldenOutputs(t *testing.T) {
 func TestCheckpointedRunReturnsModuleFailure(t *testing.T) {
 	t.Cleanup(func() { checkpointEvery = 0 })
 	for _, every := range []uint64{0, 5000} {
-		rig, err := platform.New(cpu.DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		l := victim.ControlFlowSecret(true)
-		if err := rig.InstallVictim(l); err != nil {
-			t.Fatal(err)
-		}
-		rec := &microscope.Recipe{Name: "timeline", Victim: rig.Victim, Handle: l.Sym("handle"), MaxReplays: 4}
-		if err := rig.Module.Install(rec); err != nil {
-			t.Fatal(err)
-		}
-		steps, err := rig.Module.SoftWalk(rig.Victim, rec.Handle)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rig.Phys.Write64(steps[mem.PTE].EntryAddr, 0)
-		l.Start(rig.Kernel, 0)
+		rig := brokenTimelineRig(t)
 		checkpointEvery = every
-		_, err = runCheckpointed(io.Discard, rig, 1_000_000)
+		_, err := runCheckpointed(io.Discard, rig, 1_000_000)
 		if err == nil || !strings.Contains(err.Error(), "microscope: release failed") {
 			t.Errorf("-checkpoint-every %d: runCheckpointed = %v, want the module's release failure", every, err)
 		}
+	}
+}
+
+// -reverse-to re-runs a fixed number of cycles from a checkpoint:
+// stopping short of the halt is its job, but a re-run whose fault
+// handler fails returns the module's failure instead of printing the
+// halted victim's state.
+func TestReverseStepReturnsModuleFailure(t *testing.T) {
+	rig := brokenTimelineRig(t)
+	cp, err := rig.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	from := rig.Core.Cycle()
+	cps := []cycleCheckpoint{{Cycle: from, CP: cp}}
+	if err := reverseStep(io.Discard, rig, cps, from+100); err != nil {
+		t.Fatalf("reverse-step 100 cycles short of the failure: %v", err)
+	}
+	if rig.Core.Halted() || rig.Core.Cycle() != from+100 {
+		t.Fatalf("reverse-step stopped at cycle %d (halted=%t), want %d", rig.Core.Cycle(), rig.Core.Halted(), from+100)
+	}
+	err = reverseStep(io.Discard, rig, cps, from+1_000_000)
+	if err == nil || !strings.Contains(err.Error(), "microscope: release failed") {
+		t.Errorf("reverseStep = %v, want the module's release failure", err)
 	}
 }

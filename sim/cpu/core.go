@@ -804,7 +804,11 @@ func (c *Core) deliverFault(ctx *Context, e *pipeline.Entry) {
 	// exist to catch.
 	if ctx.inTx {
 		c.jvFault(ctx, e.PC)
-		c.abortTx(ctx, fmt.Sprintf("page fault in tx at pc=%d", e.PC))
+		var reason string // only the trace reads it
+		if c.tracer != nil {
+			reason = fmt.Sprintf("page fault in tx at pc=%d", e.PC)
+		}
+		c.abortTx(ctx, reason)
 		return
 	}
 
@@ -828,8 +832,10 @@ func (c *Core) deliverFault(ctx *Context, e *pipeline.Entry) {
 		Level:   f.Level,
 		Instr:   e.Instr,
 	}
-	c.trace(Event{Context: ctx.id, Kind: EvFault, PC: e.PC, Seq: e.Seq, Instr: e.Instr,
-		Walk: e.WalkCycles, Addr: f.VA, Detail: f.Error()})
+	if c.tracer != nil {
+		c.trace(Event{Context: ctx.id, Kind: EvFault, PC: e.PC, Seq: e.Seq, Instr: e.Instr,
+			Walk: e.WalkCycles, Addr: f.VA, Detail: f.Error()})
+	}
 
 	if c.faultHandler == nil {
 		c.ctxHalt(ctx)

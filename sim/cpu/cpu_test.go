@@ -839,6 +839,65 @@ func TestTracerSeesLifecycle(t *testing.T) {
 	}
 }
 
+// A traced core records why each fault flushed the pipeline. The texts
+// are formatted only while a tracer is attached: a delivered fault's
+// EvFault carries its mem.Fault text, and a fault inside a transaction
+// records its pc in the EvTxAbort.
+func TestTracedFaultDetails(t *testing.T) {
+	r := newRig(t, DefaultConfig())
+	demandVA := mem.Addr(0x30_0000) // never mapped: the handler maps it
+	txVA := mem.Addr(0x70_0000)
+	r.mapPage(t, txVA)
+	if _, err := r.as.SetPresent(txVA, false); err != nil {
+		t.Fatal(err)
+	}
+	var delivered []PageFault
+	r.core.SetFaultHandler(FaultHandlerFunc(func(f PageFault) FaultOutcome {
+		delivered = append(delivered, f)
+		if _, err := r.as.MapNew(mem.PageBase(f.VA), mem.FlagUser|mem.FlagWritable); err != nil {
+			return FaultOutcome{Terminate: true}
+		}
+		return FaultOutcome{HandlerLatency: 100}
+	}))
+	var faults, aborts []Event
+	r.core.SetTracer(TracerFunc(func(ev Event) {
+		switch ev.Kind {
+		case EvFault:
+			faults = append(faults, ev)
+		case EvTxAbort:
+			aborts = append(aborts, ev)
+		}
+	}))
+	const txLoadPC = 4
+	prog := isa.NewBuilder().
+		MovImm(isa.R1, int64(demandVA)).
+		Load(isa.R2, isa.R1, 0). // delivered to the handler
+		MovImm(isa.R3, int64(txVA)).
+		TxBegin("abort").
+		Load(isa.R4, isa.R3, 0). // pc 4: aborts the transaction
+		TxEnd().
+		Halt().
+		Label("abort").
+		Halt().MustBuild()
+	if op := prog.At(txLoadPC).Op; op != isa.OpLoad {
+		t.Fatalf("pc %d is %v, want the in-transaction load", txLoadPC, op)
+	}
+	r.run(t, prog, 1_000_000)
+
+	if len(delivered) != 1 || len(faults) != 1 {
+		t.Fatalf("%d faults delivered, %d traced; want 1 each", len(delivered), len(faults))
+	}
+	f := delivered[0]
+	want := (&mem.Fault{VA: f.VA, Level: f.Level, Write: f.Write}).Error()
+	if ev := faults[0]; ev.Detail != want || ev.PC != f.PC || ev.Addr != demandVA {
+		t.Errorf("EvFault pc=%d addr=%#x Detail %q; want pc=%d addr=%#x %q",
+			ev.PC, ev.Addr, ev.Detail, f.PC, demandVA, want)
+	}
+	if len(aborts) != 1 || aborts[0].Detail != "page fault in tx at pc=4" {
+		t.Errorf("EvTxAbort events %+v, want one with Detail %q", aborts, "page fault in tx at pc=4")
+	}
+}
+
 func TestHandlerLatencyStallsOnlyFaultingContext(t *testing.T) {
 	cfg := DefaultConfig()
 	phys := mem.NewPhysMem(16 << 20)
