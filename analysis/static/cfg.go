@@ -2,6 +2,7 @@ package static
 
 import (
 	"fmt"
+	"slices"
 
 	"microscope/sim/isa"
 )
@@ -23,34 +24,40 @@ type CFG struct {
 	Blocks []Block
 	// BlockOf maps an instruction index to its block index.
 	BlockOf []int
-	// txTargets are the abort-handler targets of every OpTxBegin, the
-	// over-approximated successor set of OpTxAbort.
-	txTargets []int
+	// succ holds every instruction's successors back to back;
+	// instruction i's are succ[succOff[i]:succOff[i+1]].
+	succ    []int
+	succOff []int
 }
 
 // InstrSuccs returns the instruction-level successors of index i.
 // OpTxAbort is over-approximated as jumping to any txbegin abort handler
-// in the program.
+// in the program. The slice is computed once by BuildCFG and shared:
+// callers must not modify it.
 func (g *CFG) InstrSuccs(i int) []int {
-	return instrSuccs(g.Prog, i, g.txTargets)
+	lo, hi := g.succOff[i], g.succOff[i+1]
+	return g.succ[lo:hi:hi]
 }
 
-func instrSuccs(p *isa.Program, i int, txTargets []int) []int {
+// appendSuccs appends the instruction-level successors of index i to
+// dst. txTargets are the abort-handler targets of every OpTxBegin, the
+// over-approximated successor set of OpTxAbort.
+func appendSuccs(dst []int, p *isa.Program, i int, txTargets []int) []int {
 	in := p.Instrs[i]
 	switch {
 	case in.Op == isa.OpHalt:
-		return nil
+		return dst
 	case in.Op == isa.OpJmp:
-		return []int{in.Target}
+		return append(dst, in.Target)
 	case in.Op.IsCondBranch(), in.Op == isa.OpTxBegin:
 		if in.Target == i+1 {
-			return []int{i + 1}
+			return append(dst, i+1)
 		}
-		return []int{i + 1, in.Target}
+		return append(dst, i+1, in.Target)
 	case in.Op == isa.OpTxAbort:
-		return txTargets
+		return append(dst, txTargets...)
 	default:
-		return []int{i + 1}
+		return append(dst, i+1)
 	}
 }
 
@@ -71,12 +78,14 @@ func Validate(p *isa.Program) error {
 		return err
 	}
 	txTargets := txBeginTargets(p)
+	var succs []int
 	for i := range p.Instrs {
 		if p.Instrs[i].Op == isa.OpTxAbort && len(txTargets) == 0 {
 			return fmt.Errorf("static: instr %d (%s): txabort with no txbegin abort handler in program",
 				i, p.Instrs[i])
 		}
-		for _, s := range instrSuccs(p, i, txTargets) {
+		succs = appendSuccs(succs[:0], p, i, txTargets)
+		for _, s := range succs {
 			if s >= p.Len() {
 				return fmt.Errorf("static: instr %d (%s): control falls off the end of the program (missing halt or jmp)",
 					i, p.Instrs[i])
@@ -123,7 +132,11 @@ func BuildCFG(p *isa.Program) (*CFG, error) {
 		leader[t] = true
 	}
 
-	g := &CFG{Prog: p, BlockOf: make([]int, n), txTargets: txTargets}
+	g := &CFG{Prog: p, BlockOf: make([]int, n), succ: make([]int, 0, 2*n), succOff: make([]int, n+1)}
+	for i := range p.Instrs {
+		g.succ = appendSuccs(g.succ, p, i, txTargets)
+		g.succOff[i+1] = len(g.succ)
+	}
 	for i := 0; i < n; i++ {
 		if leader[i] {
 			g.Blocks = append(g.Blocks, Block{Start: i})
@@ -136,12 +149,9 @@ func BuildCFG(p *isa.Program) (*CFG, error) {
 		} else {
 			g.Blocks[b].End = n
 		}
-		last := g.Blocks[b].End - 1
-		seen := map[int]bool{}
-		for _, s := range instrSuccs(p, last, txTargets) {
+		for _, s := range g.InstrSuccs(g.Blocks[b].End - 1) {
 			sb := g.BlockOf[s]
-			if !seen[sb] {
-				seen[sb] = true
+			if !slices.Contains(g.Blocks[b].Succs, sb) {
 				g.Blocks[b].Succs = append(g.Blocks[b].Succs, sb)
 			}
 		}

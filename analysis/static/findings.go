@@ -39,27 +39,30 @@ func isHandle(p *isa.Program, i int, ti *taintInfo) bool {
 func shadow(g *CFG, ti *taintInfo, window int) (handle, dist []int) {
 	n := g.Prog.Len()
 	handle, dist = make([]int, n), make([]int, n)
+	// visited[i] == h+1 marks i as already reached from handle h, so one
+	// slice serves every handle's walk.
+	visited := make([]int, n)
+	var cur, next []int
 	for h := 0; h < n; h++ {
 		if !ti.reached[h] || !isHandle(g.Prog, h, ti) {
 			continue
 		}
 		// BFS by instruction distance; a window can wrap around loop
 		// back-edges (the ROB holds several short iterations at once).
-		cur := g.InstrSuccs(h)
-		seen := make([]bool, n)
+		cur = append(cur[:0], g.InstrSuccs(h)...)
 		for d := 1; d <= window && len(cur) > 0; d++ {
-			var next []int
+			next = next[:0]
 			for _, i := range cur {
-				if seen[i] {
+				if visited[i] == h+1 {
 					continue
 				}
-				seen[i] = true
+				visited[i] = h + 1
 				if dist[i] == 0 || d < dist[i] {
 					handle[i], dist[i] = h, d
 				}
 				next = append(next, g.InstrSuccs(i)...)
 			}
-			cur = next
+			cur, next = next, cur
 		}
 	}
 	return handle, dist
@@ -103,31 +106,50 @@ func classify(p *isa.Program, i int, ti *taintInfo) (sidechan.Channel, Severity,
 	return sidechan.ChanNone, SevLow, "", false
 }
 
-// findings runs the shadow walk and classifier over the whole program.
-func findings(g *CFG, ti *taintInfo, cfg Config) []Finding {
+// findings runs the shadow walk and the classifier over the whole
+// program. It returns every transmit point, and the findings: the
+// points some handle's squash shadow covers.
+func findings(g *CFG, ti *taintInfo, cfg Config) ([]Finding, []TransmitPoint) {
 	handle, dist := shadow(g, ti, cfg.window())
-	var out []Finding
-	for i := range g.Prog.Instrs {
-		if dist[i] == 0 || !ti.reached[i] {
-			continue
+	text := make([]string, g.Prog.Len())
+	disasm := func(i int) string {
+		if text[i] == "" {
+			text[i] = g.Prog.Instrs[i].String()
 		}
+		return text[i]
+	}
+	var fs []Finding
+	var pts []TransmitPoint
+	for i := range g.Prog.Instrs {
 		ch, sev, reason, ok := classify(g.Prog, i, ti)
 		if !ok {
 			continue
 		}
+		shadowed := dist[i] > 0 && ti.reached[i]
+		pts = append(pts, TransmitPoint{
+			Index:    i,
+			Instr:    disasm(i),
+			Channel:  ch,
+			Severity: sev,
+			Reached:  ti.reached[i],
+			Shadowed: shadowed,
+		})
+		if !shadowed {
+			continue
+		}
 		h := handle[i]
-		out = append(out, Finding{
+		fs = append(fs, Finding{
 			Index:       i,
-			Instr:       g.Prog.Instrs[i].String(),
+			Instr:       disasm(i),
 			Channel:     ch,
 			Severity:    sev,
 			Handle:      h,
-			HandleInstr: g.Prog.Instrs[h].String(),
+			HandleInstr: disasm(h),
 			Distance:    dist[i],
 			Reason:      reason,
 		})
 	}
-	return out
+	return fs, pts
 }
 
 // TransmitPoint is an instruction the taint analysis classifies as a
@@ -147,34 +169,6 @@ type TransmitPoint struct {
 	// Shadowed reports coverage by some replay handle's squash shadow —
 	// exactly the transmit points that are also Findings.
 	Shadowed bool `json:"shadowed"`
-}
-
-// TransmitPoints classifies every instruction of p with the same taint
-// fixpoint and channel classifier as Analyze, but without the
-// replay-handle shadow filter.
-func TransmitPoints(p *isa.Program, sec Secrets, cfg Config) ([]TransmitPoint, error) {
-	g, err := BuildCFG(p)
-	if err != nil {
-		return nil, err
-	}
-	ti := taint(g, sec, cfg)
-	_, dist := shadow(g, ti, cfg.window())
-	var out []TransmitPoint
-	for i := range p.Instrs {
-		ch, sev, _, ok := classify(p, i, ti)
-		if !ok {
-			continue
-		}
-		out = append(out, TransmitPoint{
-			Index:    i,
-			Instr:    p.Instrs[i].String(),
-			Channel:  ch,
-			Severity: sev,
-			Reached:  ti.reached[i],
-			Shadowed: dist[i] > 0 && ti.reached[i],
-		})
-	}
-	return out, nil
 }
 
 // Severity ranks a finding.

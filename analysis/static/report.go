@@ -36,6 +36,10 @@ type Report struct {
 	Instrs   int       `json:"instrs"`
 	Window   int       `json:"window"`
 	Findings []Finding `json:"findings"`
+	// Points is every transmit point, shadowed or not, in instruction
+	// order: the findings before the shadow filter. The sanitizer's
+	// reconciliation reads it; the scan's JSON leaves it out.
+	Points []TransmitPoint `json:"-"`
 }
 
 // HasFindings reports whether the scan surfaced anything.

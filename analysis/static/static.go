@@ -113,9 +113,10 @@ func (s Secrets) memTainted(addr uint64) bool {
 	return false
 }
 
-// Analyze runs all three passes over p and returns the report. It fails
-// only on malformed programs (the Validate errors); an analyzable
-// program always yields a report, possibly with zero findings.
+// Analyze runs all three passes over p once and returns the report:
+// the handle-scoped findings and every transmit point. It fails only on
+// malformed programs (the Validate errors); an analyzable program
+// always yields a report, possibly with zero findings.
 func Analyze(name string, p *isa.Program, sec Secrets, cfg Config) (*Report, error) {
 	g, err := BuildCFG(p)
 	if err != nil {
@@ -127,7 +128,7 @@ func Analyze(name string, p *isa.Program, sec Secrets, cfg Config) (*Report, err
 		Instrs:  p.Len(),
 		Window:  cfg.window(),
 	}
-	r.Findings = findings(g, ti, cfg)
+	r.Findings, r.Points = findings(g, ti, cfg)
 	r.Sort()
 	return r, nil
 }

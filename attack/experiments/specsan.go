@@ -118,11 +118,9 @@ type SpecSanResult struct {
 	// Findings aggregates the sanitizer's transmit events per (pc,
 	// channel, flow).
 	Findings []sanitizer.Finding
-	// Report is the static scanner's handle-scoped report.
+	// Report is the static scanner's report: the handle-scoped findings
+	// and the unscoped transmit points backing the reconciliation.
 	Report *static.Report
-	// Points is the unscoped static transmitter classification backing
-	// the reconciliation.
-	Points []static.TransmitPoint
 	// Reconciliation classifies every static/dynamic discrepancy.
 	Reconciliation *sanitizer.Reconciliation
 	// Windows are the replay windows recovered from the module
@@ -238,18 +236,14 @@ func RunSpecSanLayout(name string, lay *victim.Layout, handleSym string, cfg Spe
 	if err != nil {
 		return nil, err
 	}
-	pts, err := static.TransmitPoints(lay.Prog, sec, cfg.Static)
-	if err != nil {
-		return nil, err
-	}
 
+	fs := san.Findings()
 	return &SpecSanResult{
 		Target:         name,
 		Sanitizer:      san,
-		Findings:       san.Findings(),
+		Findings:       fs,
 		Report:         rep,
-		Points:         pts,
-		Reconciliation: san.Reconcile(rep, pts, 0),
+		Reconciliation: san.Reconcile(rep, fs, 0),
 		Windows:        windows,
 		Replays:        rcp.Replays(),
 	}, nil

@@ -357,3 +357,19 @@ func FuzzSpecSanCoverage(f *testing.F) {
 		}
 	})
 }
+
+// BenchmarkRunSpecSan runs one sanitized replay run, static pass and
+// reconciliation included, over each builtin victim.
+func BenchmarkRunSpecSan(b *testing.B) {
+	for _, tgt := range SanTargets() {
+		tgt := tgt
+		b.Run(tgt.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := RunSpecSan(tgt, DefaultSpecSanConfig()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -112,7 +112,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 	fs.BoolVar(&o.prove, "prove", false, "run the verifier: classify PROVEN-SAFE / LEAKY / UNKNOWN with simulator-checked evidence")
 	fs.BoolVar(&o.repair, "repair", false, "with -prove: propose fence insertions and re-verify the patched program")
 	fs.BoolVar(&o.witness, "witness", false, "with -prove: print the full witness assignments and projections")
-	fs.StringVar(&o.handle, "handle", "", "with -prove: layout symbol of the replay-handle page (default: per-victim convention)")
+	fs.StringVar(&o.handle, "handle", "", "with -prove or -sanitize: layout symbol of the replay-handle page (default: per-victim convention)")
 	fs.IntVar(&o.trials, "trials", 0, "with -prove: randomized-differential trials backing PROVEN-SAFE (0: default)")
 	fs.IntVar(&o.witnessPairs, "witness-pairs", -1, "with -prove: candidate witness pairs simulated per site (-1: default)")
 	fs.IntVar(&o.maxPaths, "max-paths", 0, "with -prove: abstract path-exploration budget (0: default)")

@@ -34,46 +34,46 @@ type Finding struct {
 }
 
 // Findings aggregates the recorded transmit events per static program
-// point, in canonical (context, PC, channel) order.
+// point, in canonical (context, PC, channel) order. The result is never
+// nil, so a run without events encodes as an empty JSON list.
 func (s *Sanitizer) Findings() []Finding {
-	type key struct {
+	type site struct {
 		ctx, pc  int
 		ch       sidechan.Channel
 		implicit bool
 	}
-	agg := make(map[key]*Finding)
-	replays := make(map[key]map[int]bool)
-	var order []key
+	type siteReplay struct {
+		site
+		replay int
+	}
+	index := make(map[site]int)
+	replayed := make(map[siteReplay]bool)
+	out := []Finding{}
 	for _, ev := range s.events {
-		k := key{ev.Context, ev.PC, ev.Channel, ev.Implicit}
-		f := agg[k]
-		if f == nil {
-			f = &Finding{
+		k := site{ev.Context, ev.PC, ev.Channel, ev.Implicit}
+		i, ok := index[k]
+		if !ok {
+			i = len(out)
+			index[k] = i
+			out = append(out, Finding{
 				Context:  ev.Context,
 				PC:       ev.PC,
 				Instr:    ev.Instr.String(),
 				Op:       ev.Instr.Op,
 				Channel:  ev.Channel,
 				Implicit: ev.Implicit,
-			}
-			agg[k] = f
-			replays[k] = make(map[int]bool)
-			order = append(order, k)
+			})
 		}
+		f := &out[i]
 		f.Count++
 		if ev.Transient {
 			f.Transient++
 		}
 		f.Taint |= ev.Taint
-		if ev.Replay >= 0 {
-			replays[k][ev.Replay] = true
+		if sr := (siteReplay{k, ev.Replay}); ev.Replay >= 0 && !replayed[sr] {
+			replayed[sr] = true
+			f.Replays++
 		}
-	}
-	out := make([]Finding, 0, len(order))
-	for _, k := range order {
-		f := *agg[k]
-		f.Replays = len(replays[k])
-		out = append(out, f)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
@@ -235,11 +235,10 @@ func (r *Reconciliation) Text() string {
 }
 
 // Reconcile cross-validates a static report against the sanitizer's
-// dynamic findings for one context, classifying every program point
-// either analysis flagged. pts is the program's unscoped
-// static.TransmitPoints classification (nil degrades gracefully: the
-// OutOfShadow class then cannot be assigned and such findings surface
-// as Unexplained).
+// dynamic findings fs (as Findings returns them) for one context,
+// classifying every program point either analysis flagged. The
+// report's unscoped transmit points (static.Report.Points) back the
+// OutOfShadow class.
 //
 // The invariant checked: the static taint pass over-approximates
 // dynamic transmits, so every dynamic finding must have a static
@@ -248,9 +247,9 @@ func (r *Reconciliation) Text() string {
 // must be explained by a concrete dynamic reason (never executed,
 // never transient, operands never tainted, ...). Anything else is
 // Unexplained and fails the cross-validation gate.
-func (s *Sanitizer) Reconcile(rep *static.Report, pts []static.TransmitPoint, ctxID int) *Reconciliation {
+func (s *Sanitizer) Reconcile(rep *static.Report, fs []Finding, ctxID int) *Reconciliation {
 	dyn := make(map[int][]Finding)
-	for _, f := range s.Findings() {
+	for _, f := range fs {
 		if f.Context == ctxID {
 			dyn[f.PC] = append(dyn[f.PC], f)
 		}
@@ -284,7 +283,7 @@ func (s *Sanitizer) Reconcile(rep *static.Report, pts []static.TransmitPoint, ct
 			for i := range dfs {
 				df := dfs[i]
 				e := ReconcileEntry{PC: pc, Instr: df.Instr, Dynamic: &df}
-				if pt, ok := pointAt(pts, pc, df.Channel, df.Op); ok && !pt.Shadowed {
+				if pt, ok := pointAt(rep.Points, pc, df.Channel, df.Op); ok && !pt.Shadowed {
 					e.Class = OutOfShadow
 					e.Detail = fmt.Sprintf("static agrees pc transmits over %s but no replay handle's squash shadow covers it", df.Channel)
 				} else {

@@ -329,11 +329,7 @@ func TestFindingsAggregateAndReconcile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts, err := static.TransmitPoints(prog, sec, static.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := s.Reconcile(rep, pts, 0)
+	rec := s.Reconcile(rep, fs, 0)
 	if len(rec.Entries) == 0 {
 		t.Fatal("reconciliation produced no entries")
 	}

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"microscope/sim/isa"
+	"microscope/sim/mem"
 )
 
 // Snapshot is the complete serializable shadow state of a Sanitizer.
@@ -72,12 +73,18 @@ func (s *Sanitizer) Snap() *Snapshot {
 		TxCkpt:      append([][isa.NumRegs]uint64(nil), s.txCkpt...),
 		Events:      append([]TransmitEvent(nil), s.events...),
 	}
-	for pa, m := range s.shadowMem {
-		snap.MemShadow = append(snap.MemShadow, MemShadowEntry{PA: pa, Mask: m})
+	ppns := make([]uint64, 0, len(s.shadowMem))
+	for ppn := range s.shadowMem {
+		ppns = append(ppns, ppn)
 	}
-	sort.Slice(snap.MemShadow, func(i, j int) bool {
-		return snap.MemShadow[i].PA < snap.MemShadow[j].PA
-	})
+	sort.Slice(ppns, func(i, j int) bool { return ppns[i] < ppns[j] })
+	for _, ppn := range ppns {
+		for off, m := range s.shadowMem[ppn] {
+			if m != 0 {
+				snap.MemShadow = append(snap.MemShadow, MemShadowEntry{PA: ppn<<mem.PageShift | uint64(off), Mask: m})
+			}
+		}
+	}
 	for ctx, rt := range s.regionTaint {
 		for pc, m := range rt {
 			snap.RegionTaint = append(snap.RegionTaint, RegionTaintEntry{Ctx: ctx, PC: pc, Mask: m})
@@ -135,9 +142,9 @@ func (s *Sanitizer) Restore(snap *Snapshot) error {
 	s.regShadow = append([][isa.NumRegs]uint64(nil), snap.RegShadow...)
 	s.txCkpt = append([][isa.NumRegs]uint64(nil), snap.TxCkpt...)
 
-	s.shadowMem = make(map[uint64]uint64, len(snap.MemShadow))
+	s.shadowMem = make(map[uint64]*shadowPage)
 	for _, e := range snap.MemShadow {
-		s.shadowMem[e.PA] = e.Mask
+		s.storeShadow(e.PA, 1, e.Mask)
 	}
 	s.regionTaint = makeRegionTaint(n)
 	for _, e := range snap.RegionTaint {
