@@ -31,8 +31,9 @@ type CFG struct {
 }
 
 // InstrSuccs returns the instruction-level successors of index i.
-// OpTxAbort is over-approximated as jumping to any txbegin abort handler
-// in the program. The slice is computed once by BuildCFG and shared:
+// OpTxAbort falls through (outside a transaction it retires as a no-op)
+// and is over-approximated as jumping to any txbegin abort handler in
+// the program. The slice is computed once by BuildCFG and shared:
 // callers must not modify it.
 func (g *CFG) InstrSuccs(i int) []int {
 	lo, hi := g.succOff[i], g.succOff[i+1]
@@ -41,7 +42,7 @@ func (g *CFG) InstrSuccs(i int) []int {
 
 // appendSuccs appends the instruction-level successors of index i to
 // dst. txTargets are the abort-handler targets of every OpTxBegin, the
-// over-approximated successor set of OpTxAbort.
+// over-approximated abort edges of OpTxAbort, which also falls through.
 func appendSuccs(dst []int, p *isa.Program, i int, txTargets []int) []int {
 	in := p.Instrs[i]
 	switch {
@@ -55,7 +56,7 @@ func appendSuccs(dst []int, p *isa.Program, i int, txTargets []int) []int {
 		}
 		return append(dst, i+1, in.Target)
 	case in.Op == isa.OpTxAbort:
-		return append(dst, txTargets...)
+		return append(append(dst, i+1), txTargets...)
 	default:
 		return append(dst, i+1)
 	}

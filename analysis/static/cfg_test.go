@@ -1,6 +1,7 @@
 package static
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -17,13 +18,18 @@ func mustAsm(t *testing.T, src string) *isa.Program {
 }
 
 func TestValidateRejectsFallOffEnd(t *testing.T) {
-	p := mustAsm(t, `
+	for _, src := range []string{`
 		movi r1, 1
 		addi r1, r1, 2
-	`)
-	err := Validate(p)
-	if err == nil || !strings.Contains(err.Error(), "falls off the end") {
-		t.Fatalf("want falls-off-end error, got %v", err)
+	`, `
+		txbegin h
+	h:	txabort
+	`, // txabort falls through (a no-op outside a transaction)
+	} {
+		err := Validate(mustAsm(t, src))
+		if err == nil || !strings.Contains(err.Error(), "falls off the end") {
+			t.Fatalf("%s\nwant falls-off-end error, got %v", src, err)
+		}
 	}
 	// A trailing unconditional control transfer is fine.
 	if err := Validate(mustAsm(t, "loop: jmp loop")); err != nil {
@@ -112,9 +118,44 @@ func TestCFGTxBeginAbortEdges(t *testing.T) {
 	if s := g.InstrSuccs(0); len(s) != 2 {
 		t.Fatalf("txbegin succs = %v, want fallthrough+handler", s)
 	}
-	// txabort is over-approximated as jumping to every abort handler.
+	// txabort falls through (a no-op outside a transaction) and is
+	// over-approximated as jumping to every abort handler.
 	s := g.InstrSuccs(2)
-	if len(s) != 1 || s[0] != 5 {
-		t.Fatalf("txabort succs = %v, want [5]", s)
+	if len(s) != 2 || s[0] != 3 || s[1] != 5 {
+		t.Fatalf("txabort succs = %v, want [3 5]", s)
+	}
+}
+
+// TestBranchRegionTxAbortFallThrough pins the region of a branch whose
+// taken side reaches a txabort: the core retires a txabort outside a
+// transaction as a no-op, so the instruction after it (4) is reachable
+// from the taken side only and belongs to the region, while the join
+// (5) does not.
+func TestBranchRegionTxAbortFallThrough(t *testing.T) {
+	p := mustAsm(t, `
+		txbegin h            ; 0
+		beq  r1, r0, ab      ; 1
+		jmp  end             ; 2
+	ab:	txabort              ; 3
+		movi r2, 1           ; 4
+	end:	txend            ; 5
+	h:	halt                 ; 6
+	`)
+	g, err := BuildCFG(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := g.BranchRegions()
+	if len(rs) != 1 || rs[0].PC != 1 {
+		t.Fatalf("regions = %+v, want one for the branch at 1", rs)
+	}
+	var got []int
+	for i, in := range rs[0].Region {
+		if in {
+			got = append(got, i)
+		}
+	}
+	if !slices.Equal(got, []int{2, 3, 4}) {
+		t.Fatalf("region of branch 1 = %v, want [2 3 4]", got)
 	}
 }

@@ -131,75 +131,46 @@ func step(st *regState, in isa.Instr, ctrlDep bool, sec Secrets, cfg Config) {
 	if d == isa.NoReg {
 		return // stores, branches, fences, tx markers: no register effect
 	}
-	a, b := st.val(in.Rs1), st.val(in.Rs2)
-	ta, tb := st.tainted(in.Rs1), st.tainted(in.Rs2)
+	// Taint flows from every source; the value folds to a constant
+	// when every source is one. An unused source slot (NoReg) reads as
+	// an untainted unknown.
+	src := in.Sources()
+	a, b := st.val(src[0]), st.val(src[1])
+	t := st.tainted(src[0]) || st.tainted(src[1])
+	exact := (src[0] == isa.NoReg || a.kind == vExact) && (src[1] == isa.NoReg || b.kind == vExact)
 
 	var v absVal // zero value: unknown
-	t := false
-	exact2 := func(f func(x, y uint64) uint64) {
-		if a.kind == vExact && b.kind == vExact {
-			v = exactVal(f(a.v, b.v))
-		}
-		t = ta || tb
-	}
-	exact1 := func(f func(x uint64) uint64) {
-		if a.kind == vExact {
-			v = exactVal(f(a.v))
-		}
-		t = ta
-	}
-
 	switch in.Op {
-	case isa.OpMovImm, isa.OpFLoadImm:
-		v = exactVal(uint64(in.Imm))
 	case isa.OpMov, isa.OpFMov:
-		v, t = a, ta
+		v = a // a copy keeps the source's provenance
 	case isa.OpAdd:
-		v, t = addVals(a, b), ta || tb
+		v = addVals(a, b)
 	case isa.OpAddImm:
-		v, t = addVals(a, exactVal(uint64(in.Imm))), ta
+		v = addVals(a, exactVal(uint64(in.Imm)))
 	case isa.OpSub:
-		exact2(func(x, y uint64) uint64 { return x - y })
-		if v.kind == vUnknown && a.kind != vUnknown && b.kind == vExact {
-			v = absVal{kind: vBased, v: a.v - b.v}
+		// A known offset below a known base keeps the base as
+		// provenance, exact when the base is.
+		if a.kind != vUnknown && b.kind == vExact {
+			v = absVal{kind: a.kind, v: a.v - b.v}
 		}
-	case isa.OpAnd:
-		exact2(func(x, y uint64) uint64 { return x & y })
-	case isa.OpAndImm:
-		exact1(func(x uint64) uint64 { return x & uint64(in.Imm) })
-	case isa.OpOr:
-		exact2(func(x, y uint64) uint64 { return x | y })
-	case isa.OpXor:
-		exact2(func(x, y uint64) uint64 { return x ^ y })
-	case isa.OpShl:
-		exact2(func(x, y uint64) uint64 { return x << (y & 63) })
-	case isa.OpShlImm:
-		exact1(func(x uint64) uint64 { return x << (uint64(in.Imm) & 63) })
-	case isa.OpShr:
-		exact2(func(x, y uint64) uint64 { return x >> (y & 63) })
-	case isa.OpShrImm:
-		exact1(func(x uint64) uint64 { return x >> (uint64(in.Imm) & 63) })
-	case isa.OpMul:
-		exact2(func(x, y uint64) uint64 { return x * y })
-	case isa.OpDiv:
-		exact2(func(x, y uint64) uint64 {
-			if y == 0 {
-				return 0
-			}
-			return x / y
-		})
 	case isa.OpFAdd, isa.OpFMul, isa.OpFDiv:
 		// Float bit patterns are not tracked; taint still flows.
-		t = ta || tb
 	case isa.OpLoad, isa.OpLoad32, isa.OpLoadF:
-		t = ta // secret-indexed loads yield secret-derived values
+		// Secret-indexed loads yield secret-derived values (t from the
+		// base register), and so does a load of declared secret memory.
 		if a.kind != vUnknown && sec.memTainted(a.v+uint64(in.Imm)) {
-			t = true // load reads declared secret memory
+			t = true
 		}
-	case isa.OpRdtsc:
-		// Nondeterministic but public.
 	case isa.OpRdrand:
 		t = cfg.TaintRdrand
+	default:
+		// The remaining ALU ops fold through sim/isa; rdtsc is
+		// nondeterministic but public.
+		if exact {
+			if r, ok := in.Eval(a.v, b.v); ok {
+				v = exactVal(r)
+			}
+		}
 	}
 	if ctrlDep {
 		t = true // implicit flow: written under a secret-dependent branch

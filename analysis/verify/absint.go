@@ -2,7 +2,6 @@ package verify
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"microscope/analysis/sidechan"
@@ -16,17 +15,19 @@ import (
 //
 // The domain is relational in the simplest useful sense: every register
 // and memory word carries BOTH its concrete value (the layout's initial
-// image interpreted exactly, mirroring sim/cpu's reference semantics)
-// and a taint mask over secret atoms. Concrete values make addresses
-// and branch outcomes decidable — no widening, no alias blowup — while
-// the masks record which secret inputs each value is a function of.
+// image interpreted exactly, with the same sim/isa semantics the core
+// executes: Instr.Eval, Instr.Taken, RandNext) and a taint mask over
+// secret atoms. Concrete values make addresses and branch outcomes
+// decidable — no widening, no alias blowup — while the masks record
+// which secret inputs each value is a function of.
 // Path sensitivity enters at secret-dependent conditional branches:
 // both successors are explored (up to Config.MaxPaths), and inside the
 // branch's control-dependence region every write additionally absorbs
 // the branch condition's atoms (implicit flow). The control-dependence
 // region of a branch is the symmetric difference of the instruction
-// sets reachable from its two successors — the same construction
-// analysis/static's taint pass uses, here evaluated per path.
+// sets reachable from its two successors — analysis/static's
+// CFG.BranchRegions, the regions its taint pass and sim/sanitizer use,
+// here applied per path.
 //
 // Squash shadows are tracked dynamically: executing a replay handle (a
 // memory access with an attacker-predictable, untainted address, or a
@@ -197,15 +198,20 @@ func explore(sub *Subject, cfg Config) (*explorer, error) {
 	if prog == nil || prog.Len() == 0 {
 		return nil, fmt.Errorf("verify: subject %q has no program", sub.Layout.Name)
 	}
-	if err := prog.Validate(); err != nil {
+	g, err := static.BuildCFG(prog)
+	if err != nil {
 		return nil, fmt.Errorf("verify: %v", err)
+	}
+	region := make(map[int][]bool)
+	for _, r := range g.BranchRegions() {
+		region[r.PC] = r.Region
 	}
 	ex := &explorer{
 		sub:             sub,
 		cfg:             cfg,
 		prog:            prog,
 		atoms:           newAtomTable(),
-		region:          branchRegions(prog),
+		region:          region,
 		base:            make(map[mem.Addr]byte),
 		regAtoms:        make(map[isa.Reg]uint64),
 		sites:           make(map[siteKey]*siteAcc),
@@ -232,7 +238,7 @@ func explore(sub *Subject, cfg Config) (*explorer, error) {
 		memV:      make(map[mem.Addr]byte),
 		memT:      make(map[mem.Addr]uint64),
 		decisions: make(map[int]uint64),
-		rng:       cpu.DefaultConfig().RandSeed | 1,
+		rng:       isa.RandState(cpu.DefaultConfig().RandSeed),
 		abortPC:   -1,
 	}
 	for r, m := range ex.regAtoms {
@@ -347,46 +353,6 @@ func (ex *explorer) step(st *pathState, stack *[]*pathState) bool {
 	case isa.OpNop, isa.OpFence:
 	case isa.OpHalt:
 		return true
-	case isa.OpMovImm, isa.OpFLoadImm:
-		set(in.Rd, uint64(in.Imm), 0)
-	case isa.OpMov, isa.OpFMov:
-		set(in.Rd, a, aT)
-	case isa.OpAdd:
-		set(in.Rd, a+b, aT|bT)
-	case isa.OpAddImm:
-		set(in.Rd, a+uint64(in.Imm), aT)
-	case isa.OpSub:
-		set(in.Rd, a-b, aT|bT)
-	case isa.OpAnd:
-		set(in.Rd, a&b, aT|bT)
-	case isa.OpAndImm:
-		set(in.Rd, a&uint64(in.Imm), aT)
-	case isa.OpOr:
-		set(in.Rd, a|b, aT|bT)
-	case isa.OpXor:
-		set(in.Rd, a^b, aT|bT)
-	case isa.OpShl:
-		set(in.Rd, a<<(b&63), aT|bT)
-	case isa.OpShlImm:
-		set(in.Rd, a<<(uint64(in.Imm)&63), aT)
-	case isa.OpShr:
-		set(in.Rd, a>>(b&63), aT|bT)
-	case isa.OpShrImm:
-		set(in.Rd, a>>(uint64(in.Imm)&63), aT)
-	case isa.OpMul:
-		set(in.Rd, a*b, aT|bT)
-	case isa.OpDiv:
-		q := uint64(0)
-		if b != 0 {
-			q = a / b
-		}
-		set(in.Rd, q, aT|bT)
-	case isa.OpFAdd:
-		set(in.Rd, math.Float64bits(math.Float64frombits(a)+math.Float64frombits(b)), aT|bT)
-	case isa.OpFMul:
-		set(in.Rd, math.Float64bits(math.Float64frombits(a)*math.Float64frombits(b)), aT|bT)
-	case isa.OpFDiv:
-		set(in.Rd, math.Float64bits(math.Float64frombits(a)/math.Float64frombits(b)), aT|bT)
 	case isa.OpLoad, isa.OpLoadF:
 		v, t := ex.loadMem(st, a+uint64(in.Imm), 8)
 		set(in.Rd, v, t|aT)
@@ -397,32 +363,22 @@ func (ex *explorer) step(st *pathState, stack *[]*pathState) bool {
 		ex.storeMem(st, a+uint64(in.Imm), b, 8, bT|aT|pathT)
 	case isa.OpStore32:
 		ex.storeMem(st, a+uint64(in.Imm), b, 4, bT|aT|pathT)
-	case isa.OpBeq:
-		next = ex.branch(st, stack, a == b, aT|bT, in.Target)
-	case isa.OpBne:
-		next = ex.branch(st, stack, a != b, aT|bT, in.Target)
-	case isa.OpBlt:
-		next = ex.branch(st, stack, int64(a) < int64(b), aT|bT, in.Target)
-	case isa.OpBge:
-		next = ex.branch(st, stack, int64(a) >= int64(b), aT|bT, in.Target)
+	case isa.OpBeq, isa.OpBne, isa.OpBlt, isa.OpBge:
+		next = ex.branch(st, stack, in.Taken(a, b), aT|bT, in.Target)
 	case isa.OpJmp:
 		next = in.Target
 	case isa.OpRdtsc:
 		set(in.Rd, uint64(st.steps), 0)
 	case isa.OpRdrand:
-		x := st.rng
-		x ^= x >> 12
-		x ^= x << 25
-		x ^= x >> 27
-		st.rng = x
-		var t uint64
+		var v, t uint64
+		st.rng, v = isa.RandNext(st.rng)
 		if ex.cfg.Static.TaintRdrand {
 			if ex.randMask == 0 {
 				ex.randMask = ex.atoms.mask(Atom{Kind: "rand"})
 			}
 			t = ex.randMask
 		}
-		set(in.Rd, x*0x2545F4914F6CDD1D, t)
+		set(in.Rd, v, t)
 	case isa.OpTxBegin:
 		st.inTx = true
 		st.ckptV = st.regs
@@ -435,16 +391,28 @@ func (ex *explorer) step(st *pathState, stack *[]*pathState) bool {
 			st.txAborts++
 			st.regs = st.ckptV
 			st.regT = st.ckptT
-			st.regs[cpu.AbortReg] = st.txAborts
-			st.regT[cpu.AbortReg] = 0
+			st.regs[isa.AbortReg] = st.txAborts
+			st.regT[isa.AbortReg] = 0
 			st.inTx = false
 			next = st.abortPC
 		}
 	default:
-		// Validate() guarantees defined opcodes; anything else is a new
-		// op the verifier does not model yet.
-		ex.incomplete(fmt.Sprintf("unmodeled op %s at pc %d", in.Op, st.pc))
-		return true
+		// An ALU or FP op: its value from sim/isa, its taint the union
+		// of its sources'. BuildCFG guarantees defined opcodes; an op
+		// Eval does not compute is a new op the verifier does not
+		// model yet.
+		v, ok := in.Eval(a, b)
+		if !ok {
+			ex.incomplete(fmt.Sprintf("unmodeled op %s at pc %d", in.Op, st.pc))
+			return true
+		}
+		var t uint64
+		for _, r := range in.Sources() {
+			if r != isa.NoReg {
+				t |= st.regT[r]
+			}
+		}
+		set(in.Rd, v, t)
 	}
 	st.pc = next
 	return false
@@ -629,70 +597,4 @@ func (ex *explorer) siteList() []Site {
 		})
 	}
 	return out
-}
-
-// branchRegions precomputes, for each conditional branch, the set of
-// instructions control-dependent on it: those reachable from exactly
-// one of its two successors.
-func branchRegions(p *isa.Program) map[int][]bool {
-	var txTargets []int
-	for _, in := range p.Instrs {
-		if in.Op == isa.OpTxBegin {
-			txTargets = append(txTargets, in.Target)
-		}
-	}
-	sort.Ints(txTargets)
-	succs := func(i int) []int {
-		in := p.Instrs[i]
-		switch {
-		case in.Op == isa.OpHalt:
-			return nil
-		case in.Op == isa.OpJmp:
-			return []int{in.Target}
-		case in.Op.IsCondBranch(), in.Op == isa.OpTxBegin:
-			if in.Target == i+1 {
-				return []int{i + 1}
-			}
-			return []int{i + 1, in.Target}
-		case in.Op == isa.OpTxAbort:
-			next := []int{}
-			if i+1 < p.Len() {
-				next = append(next, i+1)
-			}
-			return append(next, txTargets...)
-		default:
-			if i+1 < p.Len() {
-				return []int{i + 1}
-			}
-			return nil
-		}
-	}
-	reach := func(from int) []bool {
-		seen := make([]bool, p.Len())
-		work := []int{from}
-		for len(work) > 0 {
-			i := work[len(work)-1]
-			work = work[:len(work)-1]
-			if i < 0 || i >= p.Len() || seen[i] {
-				continue
-			}
-			seen[i] = true
-			work = append(work, succs(i)...)
-		}
-		return seen
-	}
-	regions := make(map[int][]bool)
-	for i, in := range p.Instrs {
-		if !in.Op.IsCondBranch() || in.Target == i+1 {
-			continue
-		}
-		r1 := reach(i + 1)
-		r2 := reach(in.Target)
-		region := make([]bool, p.Len())
-		for j := range region {
-			region[j] = r1[j] != r2[j]
-		}
-		regions[i] = region
-	}
-	return regions
 }

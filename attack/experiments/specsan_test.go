@@ -17,6 +17,7 @@ package experiments
 import (
 	"bytes"
 	"encoding/gob"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -25,6 +26,7 @@ import (
 	"microscope/attack/platform"
 	"microscope/attack/victim"
 	"microscope/sim/cpu"
+	"microscope/sim/isa"
 	"microscope/sim/sanitizer"
 	"microscope/sim/trace"
 )
@@ -266,7 +268,7 @@ func TestSpecSanCheckpointShadowRoundTrip(t *testing.T) {
 // selector plus parameter entropy. Returns nil for parameterizations the
 // victim constructors reject.
 func mutantLayout(sel uint8, a uint64, tail []byte) (*victim.Layout, string) {
-	switch sel % 4 {
+	switch sel % 5 {
 	case 0:
 		return victim.SingleSecret(int(a%64), a&1 == 0), "count"
 	case 1:
@@ -284,7 +286,7 @@ func mutantLayout(sel uint8, a uint64, tail []byte) (*victim.Layout, string) {
 			clipped[i] = b & 0x0f
 		}
 		return victim.LoopSecret(clipped), "handle"
-	default:
+	case 3:
 		base := 2 + a%13
 		exp := 1 + (a>>8)%31
 		mod := 3 + (a>>16)%94
@@ -294,14 +296,81 @@ func mutantLayout(sel uint8, a uint64, tail []byte) (*victim.Layout, string) {
 			return nil, ""
 		}
 		return v.Layout, "handle"
+	default:
+		return ctChainLayout(a), "handle"
 	}
 }
 
-// FuzzSpecSanCoverage mutates victims and asserts the no-false-negative
-// invariant: whenever the verifier proves a mutant LEAKY with a
-// simulator-checked witness, replaying the witness assignments under
-// SpecSan must surface the witness channel, and the static/dynamic
-// reconciliation must stay fully explained.
+// ctChainLayout is ConstantTime's shape with its branchless select
+// replaced by a chain of one to eight ALU ops drawn from seed. Each op
+// reads the secret (r4), the public operands (r5, r6), the handle value
+// (r7) or an earlier result (r9-r11), and the last result goes to the
+// fixed public output. No address or branch depends on the secret, so
+// only a divide that reads it gives the verifier a site: most chains
+// are PROVEN-SAFE, which is what lets the fuzzer check that direction.
+func ctChainLayout(seed uint64) *victim.Layout {
+	lay := victim.ConstantTime()
+	lay.Name = "ctchain"
+	rng := rand.New(rand.NewSource(int64(seed)))
+	b := isa.NewBuilder().
+		MovImm(isa.R1, int64(lay.Sym("handle"))).
+		MovImm(isa.R2, int64(lay.Sym("secret"))).
+		MovImm(isa.R3, int64(lay.Sym("operands"))).
+		MovImm(isa.R8, int64(lay.Sym("out"))).
+		Load(isa.R4, isa.R2, 0). // secret (fixed address)
+		Load(isa.R5, isa.R3, 0). // public operand a
+		Load(isa.R6, isa.R3, 8)  // public operand b
+	lay.Marks = map[string]int{"handle": b.Here()}
+	b.Load(isa.R7, isa.R1, 0) // REPLAY HANDLE (public address)
+	regs := []isa.Reg{isa.R4, isa.R5, isa.R6, isa.R7, isa.R9, isa.R10, isa.R11}
+	src := func() isa.Reg { return regs[rng.Intn(len(regs))] }
+	imm := func() int64 { return int64(rng.Intn(1<<20)) - 1<<19 }
+	var rd isa.Reg
+	for n := 1 + rng.Intn(8); n > 0; n-- {
+		rd = regs[4+rng.Intn(3)]
+		switch rng.Intn(14) {
+		case 0:
+			b.Add(rd, src(), src())
+		case 1:
+			b.Sub(rd, src(), src())
+		case 2:
+			b.And(rd, src(), src())
+		case 3:
+			b.Or(rd, src(), src())
+		case 4:
+			b.Xor(rd, src(), src())
+		case 5:
+			b.Shl(rd, src(), src())
+		case 6:
+			b.Shr(rd, src(), src())
+		case 7:
+			b.Mul(rd, src(), src())
+		case 8:
+			b.Div(rd, src(), src())
+		case 9:
+			b.AddImm(rd, src(), imm())
+		case 10:
+			b.AndImm(rd, src(), imm())
+		case 11:
+			b.ShlImm(rd, src(), int64(rng.Intn(64)))
+		case 12:
+			b.ShrImm(rd, src(), int64(rng.Intn(64)))
+		default:
+			b.Mov(rd, src())
+		}
+	}
+	b.Store(rd, isa.R8, 0).Halt() // fixed public address
+	lay.Prog = b.MustBuild()
+	return lay
+}
+
+// FuzzSpecSanCoverage mutates victims and checks the verifier against
+// SpecSan in both directions. No false negative: whenever the verifier
+// proves a mutant LEAKY with a simulator-checked witness, replaying the
+// witness assignments under SpecSan must surface the witness channel.
+// No false positive: whenever it proves a mutant PROVEN-SAFE, SpecSan
+// must find no transmit. Either way the static/dynamic reconciliation
+// must stay fully explained.
 func FuzzSpecSanCoverage(f *testing.F) {
 	// Seed corpus: the builtin parameterizations of each mutant family.
 	f.Add(uint8(0), uint64(3), []byte{})                     // singlesecret(3, subnormal)
@@ -310,6 +379,9 @@ func FuzzSpecSanCoverage(f *testing.F) {
 	f.Add(uint8(1), uint64(0), []byte{})                     // controlflow(false)
 	f.Add(uint8(2), uint64(0), []byte{3, 1, 4, 1, 5})        // loopsecret builtin
 	f.Add(uint8(3), uint64(5|0xb<<8|94<<16|3<<24), []byte{}) // modexp-like
+	f.Add(uint8(4), uint64(0), []byte{})                     // ctchain, divides the secret: UNKNOWN
+	f.Add(uint8(4), uint64(1), []byte{})                     // ctchain, PROVEN-SAFE
+	f.Add(uint8(4), uint64(2), []byte{})                     // ctchain, PROVEN-SAFE
 	f.Fuzz(func(t *testing.T, sel uint8, a uint64, tail []byte) {
 		lay, handleSym := mutantLayout(sel, a, tail)
 		if lay == nil {
@@ -327,33 +399,41 @@ func FuzzSpecSanCoverage(f *testing.F) {
 		if err != nil {
 			t.Skipf("verifier rejected mutant: %v", err)
 		}
-		if vres.Verdict != verify.Leaky {
-			return
-		}
-		w := vres.Witness
-		if w == nil {
-			t.Fatal("LEAKY verdict without witness")
-		}
-		covered := make(map[string]bool)
-		for _, asg := range []verify.Assignment{w.A, w.B} {
+		// sanitize replays the mutant under SpecSan with assignment asg
+		// (nil: the baseline).
+		sanitize := func(asg *verify.Assignment) *SpecSanResult {
 			cfg := DefaultSpecSanConfig()
-			cfg.Assignment = &asg
-			// Rebuild per run: RunSpecSanLayout patches a copy, but the
-			// mutant layout itself is cheap to share.
+			cfg.Assignment = asg
 			res, err := RunSpecSanLayout(lay.Name, lay, handleSym, cfg)
 			if err != nil {
-				t.Fatalf("sanitized replay of witness: %v", err)
+				t.Fatalf("sanitized replay: %v", err)
 			}
 			if un := res.Reconciliation.Unexplained(); len(un) > 0 {
 				t.Errorf("unexplained static/dynamic disagreement on mutant:\n%v", un)
 			}
-			for ch := range res.Channels() {
-				covered[ch] = true
-			}
+			return res
 		}
-		if !covered[w.Channel.String()] {
-			t.Errorf("sel=%d a=%#x: witness channel %s not covered by sanitizer findings %v",
-				sel, a, w.Channel, covered)
+		switch vres.Verdict {
+		case verify.ProvenSafe:
+			if res := sanitize(nil); len(res.Findings) > 0 {
+				t.Errorf("sel=%d a=%#x: verifier proved %s safe but SpecSan found %d transmits on %v (false positive)",
+					sel, a, lay.Name, len(res.Findings), res.Channels())
+			}
+		case verify.Leaky:
+			w := vres.Witness
+			if w == nil {
+				t.Fatal("LEAKY verdict without witness")
+			}
+			covered := make(map[string]bool)
+			for _, asg := range []verify.Assignment{w.A, w.B} {
+				for ch := range sanitize(&asg).Channels() {
+					covered[ch] = true
+				}
+			}
+			if !covered[w.Channel.String()] {
+				t.Errorf("sel=%d a=%#x: witness channel %s not covered by sanitizer findings %v",
+					sel, a, w.Channel, covered)
+			}
 		}
 	})
 }

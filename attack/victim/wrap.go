@@ -18,7 +18,7 @@ import (
 // transaction: TxBegin at entry, TxEnd before every halt, and an abort
 // handler that retries the transaction until the abort budget is spent.
 //
-// The handler thresholds on cpu.AbortReg (R15), which the core loads
+// The handler thresholds on isa.AbortReg (R15), which the core loads
 // with the cumulative abort count at every abort — the T-SGX idiom. On
 // exhaustion, haltOnExhaust selects the policy:
 //

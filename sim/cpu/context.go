@@ -9,11 +9,6 @@ import (
 	"microscope/sim/pipeline"
 )
 
-// AbortReg is the integer register that receives the abort count when a
-// transaction aborts (the simulated analogue of EAX holding the TSX abort
-// status).
-const AbortReg = isa.R15
-
 // ContextStats aggregates per-context event counts.
 type ContextStats struct {
 	Fetched            uint64

@@ -172,7 +172,7 @@ func NewCore(cfg Config, phys *mem.PhysMem) *Core {
 		hier:     cache.NewHierarchy(cfg.Hierarchy),
 		pwc:      cache.NewPWC(cfg.PWCSize),
 		tlbs:     tlb.NewUnit(),
-		rngState: cfg.RandSeed | 1,
+		rngState: isa.RandState(cfg.RandSeed),
 	}
 	for i := 0; i < cfg.Contexts; i++ {
 		ctx := &Context{
@@ -197,7 +197,7 @@ func (c *Core) Config() Config { return c.cfg }
 // The RDRAND record log (RdrandLog) is left as it is.
 func (c *Core) SetRandSeed(seed uint64) {
 	c.cfg.RandSeed = seed
-	c.rngState = seed | 1
+	c.rngState = isa.RandState(seed)
 }
 
 // Phys returns the physical memory.
@@ -263,14 +263,10 @@ func (c *Core) FlushMicroarch(ctxID int) {
 }
 
 // rdrand returns the next value of the deterministic hardware RNG
-// (xorshift64*).
+// (isa.RandNext).
 func (c *Core) rdrand() uint64 {
-	x := c.rngState
-	x ^= x >> 12
-	x ^= x << 25
-	x ^= x >> 27
-	c.rngState = x
-	v := x * 0x2545F4914F6CDD1D
+	var v uint64
+	c.rngState, v = isa.RandNext(c.rngState)
 	c.rdrandDraws++
 	if len(c.rdrandLog) < rdrandLogCap {
 		c.rdrandLog = append(c.rdrandLog, v)
@@ -731,7 +727,7 @@ func (c *Core) EvictLine(pa mem.Addr) bool {
 }
 
 // abortTx rolls the context back to its transaction checkpoint and
-// redirects fetch to the abort handler. AbortReg receives the cumulative
+// redirects fetch to the abort handler. isa.AbortReg receives the cumulative
 // abort count, letting handlers implement T-SGX-style thresholds.
 func (c *Core) abortTx(ctx *Context, reason string) {
 	if !ctx.inTx {
@@ -740,7 +736,7 @@ func (c *Core) abortTx(ctx *Context, reason string) {
 	ctx.stats.TxAborts++
 	ctx.squashAll()
 	ctx.regs = ctx.txCheckpoint
-	ctx.regs[AbortReg] = ctx.stats.TxAborts
+	ctx.regs[isa.AbortReg] = ctx.stats.TxAborts
 	ctx.fetchPC = ctx.txAbortPC
 	ctx.inTx = false
 	ctx.txWriteSet = nil
@@ -972,20 +968,24 @@ func (c *Core) issueCtx(ctx *Context, budget int) int {
 // of e. Only the (non-pipelined) divider uses it, so it is exact for div
 // ops and irrelevant elsewhere.
 func (c *Core) occupancyOf(e *pipeline.Entry) uint64 {
-	switch e.Instr.Op {
-	case isa.OpDiv:
-		return uint64(c.cfg.DivLat)
-	case isa.OpFDiv:
-		lat := c.cfg.FDivLat
-		fa := math.Float64frombits(e.Src[0].Value)
-		fb := math.Float64frombits(e.Src[1].Value)
-		if isSubnormal(fa) || isSubnormal(fb) || isSubnormal(fa/fb) {
-			lat += c.cfg.SubnormalPenalty
-		}
-		return uint64(lat)
-	default:
-		return 1
+	if op := e.Instr.Op; op == isa.OpDiv || op == isa.OpFDiv {
+		return uint64(c.divLatency(op, e.Src[0].Value, e.Src[1].Value))
 	}
+	return 1
+}
+
+// divLatency is the divider's latency (and occupancy) for a div or fdiv
+// on operands a and b: an FP divide takes the subnormal-assist penalty
+// when an operand or the quotient is subnormal.
+func (c *Core) divLatency(op isa.Op, a, b uint64) int {
+	if op == isa.OpDiv {
+		return c.cfg.DivLat
+	}
+	fa, fb := math.Float64frombits(a), math.Float64frombits(b)
+	if isSubnormal(fa) || isSubnormal(fb) || isSubnormal(fa/fb) {
+		return c.cfg.FDivLat + c.cfg.SubnormalPenalty
+	}
+	return c.cfg.FDivLat
 }
 
 // transmitCapable reports whether op can transmit information through
@@ -1120,77 +1120,14 @@ func (c *Core) execute(ctx *Context, e *pipeline.Entry, forward *pipeline.Entry)
 	lat = c.cfg.ALULat
 
 	switch in.Op {
-	case isa.OpNop, isa.OpFence, isa.OpTxBegin, isa.OpTxEnd, isa.OpTxAbort, isa.OpHalt:
-	case isa.OpMovImm, isa.OpFLoadImm:
-		result = uint64(in.Imm)
-	case isa.OpMov, isa.OpFMov:
-		result = a
-	case isa.OpAdd:
-		result = a + b
-	case isa.OpAddImm:
-		result = a + uint64(in.Imm)
-	case isa.OpSub:
-		result = a - b
-	case isa.OpAnd:
-		result = a & b
-	case isa.OpAndImm:
-		result = a & uint64(in.Imm)
-	case isa.OpOr:
-		result = a | b
-	case isa.OpXor:
-		result = a ^ b
-	case isa.OpShl:
-		result = a << (b & 63)
-	case isa.OpShlImm:
-		result = a << (uint64(in.Imm) & 63)
-	case isa.OpShr:
-		result = a >> (b & 63)
-	case isa.OpShrImm:
-		result = a >> (uint64(in.Imm) & 63)
-	case isa.OpMul:
-		result = a * b
-		lat = c.cfg.MulLat
-	case isa.OpDiv:
-		if b != 0 {
-			result = a / b
-		}
-		lat = c.cfg.DivLat
-	case isa.OpFAdd:
-		result = math.Float64bits(math.Float64frombits(a) + math.Float64frombits(b))
-		lat = c.cfg.FAddLat
-	case isa.OpFMul:
-		result = math.Float64bits(math.Float64frombits(a) * math.Float64frombits(b))
-		lat = c.cfg.MulLat
-	case isa.OpFDiv:
-		fa, fb := math.Float64frombits(a), math.Float64frombits(b)
-		q := fa / fb
-		result = math.Float64bits(q)
-		lat = c.cfg.FDivLat
-		if isSubnormal(fa) || isSubnormal(fb) || isSubnormal(q) {
-			lat += c.cfg.SubnormalPenalty
-		}
 	case isa.OpRdtsc:
 		result = c.cycle
 	case isa.OpRdrand:
 		result = c.rdrand()
 	case isa.OpBeq, isa.OpBne, isa.OpBlt, isa.OpBge, isa.OpJmp:
-		taken := false
-		switch in.Op {
-		case isa.OpBeq:
-			taken = a == b
-		case isa.OpBne:
-			taken = a != b
-		case isa.OpBlt:
-			taken = int64(a) < int64(b)
-		case isa.OpBge:
-			taken = int64(a) >= int64(b)
-		case isa.OpJmp:
-			taken = true
-		}
-		if taken {
+		e.ActualPC = e.PC + 1
+		if in.Taken(a, b) {
 			e.ActualPC = in.Target
-		} else {
-			e.ActualPC = e.PC + 1
 		}
 		e.Mispredicted = e.ActualPC != e.PredictedPC
 	case isa.OpLoad, isa.OpLoad32, isa.OpLoadF:
@@ -1241,11 +1178,24 @@ func (c *Core) execute(ctx *Context, e *pipeline.Entry, forward *pipeline.Entry)
 		if physAddr+8 > c.phys.Size() {
 			fault = &mem.Fault{VA: effAddr, Level: mem.PTE, Write: true}
 		}
+	case isa.OpNop, isa.OpFence, isa.OpTxBegin, isa.OpTxEnd, isa.OpTxAbort, isa.OpHalt:
 	default:
-		// Unreachable for loaded programs: Context.LoadProgram runs
-		// static.Validate, which rejects any opcode outside the
-		// execute switch before it can be fetched.
-		panic(fmt.Sprintf("cpu: execute: unhandled op %s (program bypassed LoadProgram validation)", in.Op))
+		// An ALU or FP op: the result is sim/isa's, the latency the
+		// unit's. An undefined opcode is unreachable for loaded
+		// programs: Context.LoadProgram runs static.Validate, which
+		// rejects it before it can be fetched.
+		var ok bool
+		if result, ok = in.Eval(a, b); !ok {
+			panic(fmt.Sprintf("cpu: execute: unhandled op %s (program bypassed LoadProgram validation)", in.Op))
+		}
+		switch in.Op {
+		case isa.OpMul, isa.OpFMul:
+			lat = c.cfg.MulLat
+		case isa.OpFAdd:
+			lat = c.cfg.FAddLat
+		case isa.OpDiv, isa.OpFDiv:
+			lat = c.divLatency(in.Op, a, b)
+		}
 	}
 	if lat <= 0 {
 		lat = 1

@@ -651,7 +651,7 @@ func TestTxAbortRollsBackRegisters(t *testing.T) {
 	if got := ctx.Reg(isa.R2); got != 99 {
 		t.Errorf("r2 = %d, abort handler did not run", got)
 	}
-	if got := ctx.Reg(AbortReg); got != 1 {
+	if got := ctx.Reg(isa.AbortReg); got != 1 {
 		t.Errorf("abort reg = %d, want 1", got)
 	}
 	if ctx.InTx() {

@@ -1,9 +1,10 @@
-// Package cputest provides the deterministic random-program generators
-// and pre-initialized data address spaces shared by the sim/cpu
-// differential suites. It lives outside the test files so both the
-// in-package tests (package cpu) and the external ones (package
-// cpu_test, which may import packages that themselves depend on sim/cpu,
-// such as sim/trace) can drive the same program distribution.
+// Package cputest provides the deterministic random-program generators,
+// the pre-initialized data address spaces and the sequential reference
+// interpreter (Reference) shared by the sim/cpu differential suites. It
+// lives outside the test files so both the in-package tests (package
+// cpu) and the external ones (package cpu_test, which may import
+// packages that themselves depend on sim/cpu, such as sim/trace) can
+// drive the same program distribution.
 //
 // All randomness flows through the caller-supplied seeded *rand.Rand, so
 // a (generator, seed) pair names one exact program forever — the

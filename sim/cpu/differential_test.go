@@ -11,12 +11,15 @@ import (
 
 // The differential fuzzer: random valid terminating programs must leave
 // identical architectural state (registers + memory) on the out-of-order
-// core and on the sequential Reference interpreter. This exercises
-// renaming, forwarding, branch recovery, memory disambiguation,
-// store-to-load forwarding and transaction rollback against a trivially
-// correct model. The program generators live in sim/cpu/cputest so the
-// external trace-differential suite (tracediff_test.go) can drive the
-// exact same distribution.
+// core and on the sequential cputest.Reference interpreter. This
+// exercises renaming, forwarding, branch recovery, memory
+// disambiguation, store-to-load forwarding and transaction rollback
+// against a trivially correct model. Both engines take what each
+// instruction computes from sim/isa (Instr.Eval, Instr.Taken), so the
+// semantics themselves are checked by sim/isa's known-answer table
+// instead. The program generators and the reference live in
+// sim/cpu/cputest so the external trace-differential suite
+// (tracediff_test.go) can drive the exact same distribution.
 
 const (
 	diffDataVA = cputest.DataVA
@@ -40,7 +43,7 @@ func TestDifferentialOoOvsReference(t *testing.T) {
 
 		// Reference run.
 		refAS := newDiffSpace(t, seed)
-		ref := NewReference(refAS, 42)
+		ref := cputest.NewReference(refAS, 42)
 		if err := ref.Run(prog, 0, 2_000_000); err != nil {
 			t.Fatalf("seed %d: reference: %v", seed, err)
 		}
@@ -90,72 +93,6 @@ func TestDifferentialOoOvsReference(t *testing.T) {
 	}
 }
 
-// TestReferenceMatchesKnownResults sanity-checks the interpreter itself.
-func TestReferenceMatchesKnownResults(t *testing.T) {
-	as := newDiffSpace(t, 1)
-	ref := NewReference(as, 7)
-	prog := isa.NewBuilder().
-		MovImm(isa.R1, 6).
-		MovImm(isa.R2, 7).
-		Mul(isa.R3, isa.R1, isa.R2).
-		MovImm(isa.R4, int64(diffDataVA)).
-		Store(isa.R3, isa.R4, 0).
-		Load(isa.R5, isa.R4, 0).
-		Halt().MustBuild()
-	if err := ref.Run(prog, 0, 1000); err != nil {
-		t.Fatal(err)
-	}
-	if ref.Reg(isa.R3) != 42 || ref.Reg(isa.R5) != 42 {
-		t.Errorf("r3=%d r5=%d", ref.Reg(isa.R3), ref.Reg(isa.R5))
-	}
-}
-
-func TestReferenceFaultsOnUnmapped(t *testing.T) {
-	as := newDiffSpace(t, 1)
-	ref := NewReference(as, 7)
-	prog := isa.NewBuilder().
-		MovImm(isa.R1, 0x7000_0000).
-		Load(isa.R2, isa.R1, 0).
-		Halt().MustBuild()
-	if err := ref.Run(prog, 0, 1000); err == nil {
-		t.Error("load from unmapped memory succeeded")
-	}
-}
-
-func TestReferenceTxRollback(t *testing.T) {
-	as := newDiffSpace(t, 1)
-	ref := NewReference(as, 7)
-	prog := isa.NewBuilder().
-		MovImm(isa.R1, 1).
-		TxBegin("abort").
-		MovImm(isa.R1, 2).
-		TxAbort().
-		Halt().
-		Label("abort").
-		MovImm(isa.R2, 9).
-		Halt().MustBuild()
-	if err := ref.Run(prog, 0, 1000); err != nil {
-		t.Fatal(err)
-	}
-	if ref.Reg(isa.R1) != 1 || ref.Reg(isa.R2) != 9 {
-		t.Errorf("r1=%d r2=%d", ref.Reg(isa.R1), ref.Reg(isa.R2))
-	}
-	if ref.Reg(AbortReg) != 1 {
-		t.Errorf("abort reg = %d", ref.Reg(AbortReg))
-	}
-}
-
-func TestReferenceStepBudget(t *testing.T) {
-	as := newDiffSpace(t, 1)
-	ref := NewReference(as, 7)
-	prog := isa.NewBuilder().
-		Label("spin").
-		Jmp("spin").MustBuild()
-	if err := ref.Run(prog, 0, 100); err == nil {
-		t.Error("infinite loop terminated")
-	}
-}
-
 // TestDifferentialHeavyAliasing narrows memory offsets to a handful of
 // slots so stores and loads alias constantly, stressing store-to-load
 // forwarding and memory-order-violation recovery against the reference.
@@ -166,7 +103,7 @@ func TestDifferentialHeavyAliasing(t *testing.T) {
 		prog := cputest.GenAliasProgram(rng)
 
 		refAS := newDiffSpace(t, seed)
-		ref := NewReference(refAS, 42)
+		ref := cputest.NewReference(refAS, 42)
 		if err := ref.Run(prog, 0, 1_000_000); err != nil {
 			t.Fatalf("seed %d: reference: %v", seed, err)
 		}

@@ -8,6 +8,14 @@
 // the monitor), RDRAND (the §7.2 integrity-bias target), FENCE (the RDRAND
 // mitigation), and TSX transaction markers (alternative replay handles,
 // §7.1).
+//
+// The package also defines what each instruction computes (semantics.go):
+// Instr.Eval for register results, Instr.Taken for branch directions,
+// RandState and RandNext for the RDRAND stream, and AbortReg. The
+// out-of-order core, the reference interpreter in sim/cpu/cputest, the
+// verifier's abstract interpreter and the static scan's constant folding
+// all call these, and add only their own concerns (latency, memory and
+// faults; taint; the abstract value domain).
 package isa
 
 import "fmt"
