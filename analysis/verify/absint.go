@@ -309,8 +309,16 @@ func (ex *explorer) pathTaint(st *pathState, pc int) uint64 {
 func (ex *explorer) step(st *pathState, stack *[]*pathState) bool {
 	in := ex.prog.Instrs[st.pc]
 	pathT := ex.pathTaint(st, st.pc)
-	a, b := st.regs[in.Rs1], st.regs[in.Rs2]
-	aT, bT := st.regT[in.Rs1], st.regT[in.Rs2]
+	// Only the registers the op reads: an unused operand slot may hold
+	// isa.NoReg, which indexes no register (the core reads it as 0).
+	var a, b, aT, bT uint64
+	srcs := in.Sources()
+	if r := srcs[0]; r != isa.NoReg {
+		a, aT = st.regs[r], st.regT[r]
+	}
+	if r := srcs[1]; r != isa.NoReg {
+		b, bT = st.regs[r], st.regT[r]
+	}
 
 	ex.observe(st, in, pathT)
 

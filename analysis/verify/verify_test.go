@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"microscope/attack/victim"
+	"microscope/sim/cpu/cputest"
 	"microscope/sim/isa"
 	"microscope/sim/mem"
 )
@@ -219,6 +220,72 @@ func TestVerifyUnknownOnRunTimeout(t *testing.T) {
 	for _, want := range []string{`"controlflow"`, "victim spinning at pc=6"} {
 		if !strings.Contains(res.Reason, want) {
 			t.Errorf("reason %q does not contain %s", res.Reason, want)
+		}
+	}
+}
+
+// noRegCTControl is ctcontrol with its first instruction's unused
+// operand slots set to isa.NoReg: a movi reads no register, so the
+// program is well formed, and every consumer must read only the
+// registers an op reads.
+func noRegCTControl(t *testing.T) *victim.Layout {
+	t.Helper()
+	lay := victim.ConstantTime()
+	prog := &isa.Program{Instrs: append([]isa.Instr(nil), lay.Prog.Instrs...), Labels: lay.Prog.Labels}
+	in := &prog.Instrs[0]
+	if in.Op != isa.OpMovImm {
+		t.Fatalf("ctcontrol starts with %s, want a movi", in)
+	}
+	in.Rs1, in.Rs2 = isa.NoReg, isa.NoReg
+	if err := prog.Validate(); err != nil {
+		t.Fatalf("Validate rejects unused NoReg slots: %v", err)
+	}
+	lay.Prog = prog
+	return lay
+}
+
+// TestNoRegInUnusedOperandSlot checks that the verifier gives that
+// program ctcontrol's verdict, and that the reference interpreter runs
+// it to the result of the unmodified program, where both used to index
+// the register file with NoReg and panic.
+func TestNoRegInUnusedOperandSlot(t *testing.T) {
+	lay := noRegCTControl(t)
+	sub := NewSubject(lay)
+	sub.Handle = lay.Sym("handle")
+	res, err := Verify(sub, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Verdict != ProvenSafe {
+		t.Errorf("verdict = %s (%s), want PROVEN-SAFE", res.Verdict, res.Reason)
+	}
+
+	run := func(l *victim.Layout) *cputest.Reference {
+		phys := mem.NewPhysMem(16 << 20)
+		as, err := mem.NewAddressSpace(phys, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range l.Regions {
+			for off := uint64(0); off < r.Size; off += mem.PageSize {
+				if _, err := as.MapNew(r.VA+off, r.Flags); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := as.WriteVirt(r.VA, r.Init); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ref := cputest.NewReference(as, 1)
+		if err := ref.Run(l.Prog, l.Entry, 10_000); err != nil {
+			t.Fatalf("%s: reference: %v", l.Name, err)
+		}
+		return ref
+	}
+	got, want := run(lay), run(victim.ConstantTime())
+	for r := isa.Reg(0); r < isa.NumRegs; r++ {
+		if got.Reg(r) != want.Reg(r) {
+			t.Errorf("reference %s = %#x, want %#x as for ctcontrol", r, got.Reg(r), want.Reg(r))
 		}
 	}
 }

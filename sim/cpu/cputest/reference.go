@@ -56,7 +56,17 @@ func (r *Reference) Run(p *isa.Program, entry int, maxSteps uint64) error {
 		}
 		in := p.At(r.pc)
 		next := r.pc + 1
-		a, b := r.regs[in.Rs1], r.regs[in.Rs2]
+		// Only the registers the op reads: an unused operand slot may
+		// hold isa.NoReg, which indexes no register (the core reads it
+		// as 0).
+		var a, b uint64
+		srcs := in.Sources()
+		if s := srcs[0]; s != isa.NoReg {
+			a = r.regs[s]
+		}
+		if s := srcs[1]; s != isa.NoReg {
+			b = r.regs[s]
+		}
 		switch in.Op {
 		case isa.OpNop, isa.OpFence:
 		case isa.OpHalt:
