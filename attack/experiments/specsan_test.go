@@ -301,6 +301,43 @@ func mutantLayout(sel uint8, a uint64, tail []byte) (*victim.Layout, string) {
 	}
 }
 
+// specSanSeeds is FuzzSpecSanCoverage's seed corpus: the builtin
+// parameterizations of each mutant family.
+var specSanSeeds = []struct {
+	sel  uint8
+	a    uint64
+	tail []byte
+	name string
+}{
+	{0, 3, []byte{}, "singlesecret(3, subnormal)"},
+	{0, 7, []byte{}, "singlesecret, int divide"},
+	{1, 1, []byte{}, "controlflow(true)"},
+	{1, 0, []byte{}, "controlflow(false)"},
+	{2, 0, []byte{3, 1, 4, 1, 5}, "loopsecret builtin"},
+	// mutantLayout derives base 2+a%13, exp 1+(a>>8)%31, mod
+	// 3+(a>>16)%94 and bits 1+(a>>24)%4 from the whole of a.
+	{3, 0x3460206, []byte{}, "modexp(5, 0xb, 89, 4)"},
+	{4, 0, []byte{}, "ctchain, divides the secret: UNKNOWN"},
+	{4, 1, []byte{}, "ctchain, PROVEN-SAFE"},
+	{4, 2, []byte{}, "ctchain, PROVEN-SAFE"},
+}
+
+// TestSpecSanSeedsBuildLayouts fails on a dead seed: every entry of
+// FuzzSpecSanCoverage's seed corpus must build a mutant with a replay
+// handle, which the fuzz body would otherwise skip.
+func TestSpecSanSeedsBuildLayouts(t *testing.T) {
+	for _, s := range specSanSeeds {
+		lay, handleSym := mutantLayout(s.sel, s.a, s.tail)
+		if lay == nil {
+			t.Errorf("seed %s (sel %d, a %#x): constructor rejected the parameterization", s.name, s.sel, s.a)
+			continue
+		}
+		if _, ok := lay.Symbols[handleSym]; !ok {
+			t.Errorf("seed %s (sel %d, a %#x): %s has no handle symbol %q", s.name, s.sel, s.a, lay.Name, handleSym)
+		}
+	}
+}
+
 // ctChainLayout is ConstantTime's shape with its branchless select
 // replaced by a chain of one to eight ALU ops drawn from seed. Each op
 // reads the secret (r4), the public operands (r5, r6), the handle value
@@ -372,16 +409,9 @@ func ctChainLayout(seed uint64) *victim.Layout {
 // must find no transmit. Either way the static/dynamic reconciliation
 // must stay fully explained.
 func FuzzSpecSanCoverage(f *testing.F) {
-	// Seed corpus: the builtin parameterizations of each mutant family.
-	f.Add(uint8(0), uint64(3), []byte{})                     // singlesecret(3, subnormal)
-	f.Add(uint8(0), uint64(7), []byte{})                     // singlesecret, int divide
-	f.Add(uint8(1), uint64(1), []byte{})                     // controlflow(true)
-	f.Add(uint8(1), uint64(0), []byte{})                     // controlflow(false)
-	f.Add(uint8(2), uint64(0), []byte{3, 1, 4, 1, 5})        // loopsecret builtin
-	f.Add(uint8(3), uint64(5|0xb<<8|94<<16|3<<24), []byte{}) // modexp-like
-	f.Add(uint8(4), uint64(0), []byte{})                     // ctchain, divides the secret: UNKNOWN
-	f.Add(uint8(4), uint64(1), []byte{})                     // ctchain, PROVEN-SAFE
-	f.Add(uint8(4), uint64(2), []byte{})                     // ctchain, PROVEN-SAFE
+	for _, s := range specSanSeeds {
+		f.Add(s.sel, s.a, s.tail)
+	}
 	f.Fuzz(func(t *testing.T, sel uint8, a uint64, tail []byte) {
 		lay, handleSym := mutantLayout(sel, a, tail)
 		if lay == nil {
