@@ -38,11 +38,16 @@ type Context struct {
 
 	as   *mem.AddressSpace
 	prog *isa.Program
+	// dec[pc] is prog.Instrs[pc] decoded, built once when the program is
+	// loaded or restored; fetch reads it, never prog.
+	dec []pipeline.Decoded
 
 	regs [isa.NumRegs]uint64
 
 	rob *pipeline.ROB
-	rat [isa.NumRegs]*pipeline.Entry
+	// rat[r] is the slab slot of the youngest in-flight entry that writes
+	// r, or pipeline.NoProducer when r is read from regs.
+	rat [isa.NumRegs]int32
 	bp  *pipeline.Predictor
 
 	fetchPC     int
@@ -133,6 +138,10 @@ func (ctx *Context) AddressSpace() *mem.AddressSpace { return ctx.as }
 // txbegin) would otherwise surface as execute-stage panics deep in a
 // simulation; validating here turns them into descriptive errors at the
 // point the program enters the machine.
+//
+// A loaded program is decoded once, here, and the pipeline fetches the
+// decoded form. p must not be mutated while it is loaded: to run a
+// changed program, load it again.
 func (ctx *Context) LoadProgram(p *isa.Program, entry int) error {
 	if err := static.Validate(p); err != nil {
 		return fmt.Errorf("cpu: load program: %w", err)
@@ -162,6 +171,7 @@ func (ctx *Context) load(p *isa.Program, entry int) {
 		ctx.core.nHalted--
 	}
 	ctx.prog = p
+	ctx.dec = pipeline.AppendDecoded(ctx.dec[:0], p)
 	ctx.jvReset()
 	ctx.fetchPC = entry
 	ctx.fetchHalted = false
@@ -214,7 +224,7 @@ func (ctx *Context) PC() int { return ctx.fetchPC }
 
 func (ctx *Context) clearRAT() {
 	for i := range ctx.rat {
-		ctx.rat[i] = nil
+		ctx.rat[i] = pipeline.NoProducer
 	}
 }
 
@@ -223,8 +233,8 @@ func (ctx *Context) clearRAT() {
 func (ctx *Context) rebuildRAT() {
 	ctx.clearRAT()
 	for _, e := range ctx.rob.Entries() {
-		if d := e.Instr.Dest(); d != isa.NoReg {
-			ctx.rat[d] = e
+		if d := e.Instr.Dest; d != isa.NoReg {
+			ctx.rat[d] = e.Slot
 		}
 	}
 }

@@ -182,6 +182,7 @@ func NewCore(cfg Config, phys *mem.PhysMem) *Core {
 			bp:   pipeline.NewPredictor(cfg.BranchPredictorBits),
 		}
 		ctx.sched.init(cfg.ROBSize)
+		ctx.clearRAT()
 		c.contexts = append(c.contexts, ctx)
 	}
 	return c
@@ -533,13 +534,14 @@ func (c *Core) complete() {
 				continue // squashed by an older branch this same cycle
 			}
 			ctx.nIssued--
-			if e.Fault != nil && c.recheckFault(ctx, e) {
-				e.Fault = nil // the PTE became present before the walk concluded
+			if e.HasFault && c.recheckFault(ctx, e) {
+				// The PTE became present before the walk concluded.
+				e.HasFault, e.Fault = false, mem.Fault{}
 				if c.shadow != nil {
 					c.shadow.ShadowFaultResolved(ctx, e)
 				}
 			}
-			if e.Fault != nil {
+			if e.HasFault {
 				e.State = pipeline.StateFaulted
 			} else {
 				e.State = pipeline.StateCompleted
@@ -550,7 +552,7 @@ func (c *Core) complete() {
 			}
 			if c.tracer != nil {
 				c.trace(Event{Context: ctx.id, Kind: EvComplete, PC: e.PC, Seq: e.Seq,
-					Instr: e.Instr, Walk: e.WalkCycles, Addr: e.EffAddr})
+					Instr: ctx.prog.At(e.PC), Walk: e.WalkCycles, Addr: e.EffAddr})
 			}
 			if e.Instr.Op.IsCondBranch() {
 				ctx.bp.Update(e.PC, e.ActualPC == e.Instr.Target, e.Instr.Target)
@@ -565,7 +567,7 @@ func (c *Core) complete() {
 				}
 				if c.tracer != nil {
 					c.trace(Event{Context: ctx.id, Kind: EvSquash, PC: e.PC, Seq: e.Seq,
-						Instr: e.Instr, Detail: "branch mispredict"})
+						Instr: ctx.prog.At(e.PC), Detail: "branch mispredict"})
 				}
 			}
 		}
@@ -582,15 +584,11 @@ func (c *Core) recheckFault(ctx *Context, e *pipeline.Entry) bool {
 	if !e.Instr.Op.IsMem() || e.WalkCycles == 0 || ctx.as == nil {
 		return false
 	}
-	f, ok := e.Fault.(*mem.Fault)
-	if !ok {
-		return false
-	}
 	leaf, _, err := ctx.as.LeafEntry(e.EffAddr)
 	if err != nil || !leaf.Present() {
 		return false
 	}
-	if f.Write && !leaf.Writable() {
+	if e.Fault.Write && !leaf.Writable() {
 		return false
 	}
 	pa := leaf.PPN()<<mem.PageShift | mem.PageOffset(e.EffAddr)
@@ -604,7 +602,7 @@ func (c *Core) recheckFault(ctx *Context, e *pipeline.Entry) bool {
 		Flags: tlb.FlagsFromEntry(leaf),
 	})
 	e.PhysAddr = pa
-	if e.Instr.Op.IsLoad() {
+	if e.Instr.Class == pipeline.ClassLoad {
 		if !c.cfg.InvisibleSpeculation {
 			c.hier.Access(pa)
 		}
@@ -652,7 +650,7 @@ func (c *Core) commit(ctx *Context, e *pipeline.Entry) {
 	c.jvRetire(ctx, e.PC) // forward progress at this PC: not a replay
 	ctx.stats.Retired++
 	if c.tracer != nil {
-		c.trace(Event{Context: ctx.id, Kind: EvRetire, PC: e.PC, Seq: e.Seq, Instr: e.Instr})
+		c.trace(Event{Context: ctx.id, Kind: EvRetire, PC: e.PC, Seq: e.Seq, Instr: ctx.prog.At(e.PC)})
 	}
 	if c.shadow != nil {
 		// Before architectural effects: an OpTxAbort below fires
@@ -660,10 +658,10 @@ func (c *Core) commit(ctx *Context, e *pipeline.Entry) {
 		c.shadow.ShadowRetire(ctx, e)
 	}
 
-	if d := e.Instr.Dest(); d != isa.NoReg {
+	if d := e.Instr.Dest; d != isa.NoReg {
 		ctx.regs[d] = e.Result
-		if ctx.rat[d] == e {
-			ctx.rat[d] = nil
+		if ctx.rat[d] == e.Slot {
+			ctx.rat[d] = pipeline.NoProducer
 		}
 	}
 
@@ -671,7 +669,7 @@ func (c *Core) commit(ctx *Context, e *pipeline.Entry) {
 		ctx.nFences--
 	}
 
-	if c.cfg.InvisibleSpeculation && e.Instr.Op.IsLoad() && e.PhysAddr != 0 {
+	if c.cfg.InvisibleSpeculation && e.Instr.Class == pipeline.ClassLoad && e.PhysAddr != 0 {
 		c.hier.Access(e.PhysAddr) // deferred fill of the retired load
 	}
 
@@ -816,9 +814,10 @@ func (c *Core) deliverFault(ctx *Context, e *pipeline.Entry) {
 		ctx.serialize = true
 	}
 
-	f, _ := e.Fault.(*mem.Fault)
-	if f == nil {
-		f = &mem.Fault{VA: e.EffAddr, Level: mem.PTE}
+	f := e.Fault
+	if !e.HasFault {
+		// Faulted without a fault: only a restored image can say so.
+		f = mem.Fault{VA: e.EffAddr, Level: mem.PTE}
 	}
 	pf := PageFault{
 		Context: ctx.id,
@@ -826,10 +825,10 @@ func (c *Core) deliverFault(ctx *Context, e *pipeline.Entry) {
 		VA:      f.VA,
 		Write:   f.Write,
 		Level:   f.Level,
-		Instr:   e.Instr,
+		Instr:   ctx.prog.At(e.PC),
 	}
 	if c.tracer != nil {
-		c.trace(Event{Context: ctx.id, Kind: EvFault, PC: e.PC, Seq: e.Seq, Instr: e.Instr,
+		c.trace(Event{Context: ctx.id, Kind: EvFault, PC: e.PC, Seq: e.Seq, Instr: pf.Instr,
 			Walk: e.WalkCycles, Addr: f.VA, Detail: f.Error()})
 	}
 
@@ -968,8 +967,8 @@ func (c *Core) issueCtx(ctx *Context, budget int) int {
 // of e. Only the (non-pipelined) divider uses it, so it is exact for div
 // ops and irrelevant elsewhere.
 func (c *Core) occupancyOf(e *pipeline.Entry) uint64 {
-	if op := e.Instr.Op; op == isa.OpDiv || op == isa.OpFDiv {
-		return uint64(c.divLatency(op, e.Src[0].Value, e.Src[1].Value))
+	if e.Instr.Class == pipeline.ClassDiv {
+		return uint64(c.divLatency(e.Instr.Op, e.Src[0].Value, e.Src[1].Value))
 	}
 	return 1
 }
@@ -1019,7 +1018,7 @@ func (ctx *Context) nonSpeculative(e *pipeline.Entry) bool {
 // rdtsc — can unblock it). The port is claimed before execute runs so
 // that a structural hazard leaves no side effects (the entry retries).
 func (c *Core) tryIssueEntry(ctx *Context, e *pipeline.Entry) (bool, uint64) {
-	op := e.Instr.Op
+	op, cls := e.Instr.Op, e.Instr.Class
 
 	// RDTSC reads the cycle counter at the ROB head only (serialized, as
 	// in the rdtscp+fence idiom attack code uses), so monitor timing
@@ -1046,7 +1045,7 @@ func (c *Core) tryIssueEntry(ctx *Context, e *pipeline.Entry) (bool, uint64) {
 	// triggers a memory-order-violation squash below — itself one of the
 	// §7 replay mechanisms.
 	var forward *pipeline.Entry
-	if op.IsLoad() {
+	if cls == pipeline.ClassLoad {
 		va := e.Src[0].Value + uint64(e.Instr.Imm)
 		for _, r := range ctx.sched.stores.refs {
 			if r.seq >= e.Seq {
@@ -1058,12 +1057,12 @@ func (c *Core) tryIssueEntry(ctx *Context, e *pipeline.Entry) (bool, uint64) {
 		}
 	}
 
-	port, ok := c.ports.TryIssue(op, c.occupancyOf(e))
+	port, ok := c.ports.TryIssue(cls, c.occupancyOf(e))
 	if !ok {
 		// Structural hazard (e.g. divider busy: contention).
-		return false, c.ports.RetryAt(op)
+		return false, c.ports.RetryAt(cls)
 	}
-	lat, result, fault, effAddr, physAddr, walk := c.execute(ctx, e, forward)
+	lat := c.execute(ctx, e, forward)
 	e.State = pipeline.StateIssued
 	ctx.nDispatched--
 	ctx.nIssued++
@@ -1072,14 +1071,9 @@ func (c *Core) tryIssueEntry(ctx *Context, e *pipeline.Entry) (bool, uint64) {
 		ctx.nextCompleteAt = e.CompleteAt
 	}
 	ctx.sched.heapPush(compNode{at: e.CompleteAt, seq: e.Seq, slot: e.Slot})
-	e.Result = result
-	e.Fault = fault
-	e.EffAddr = effAddr
-	e.PhysAddr = physAddr
-	e.WalkCycles = walk
 	if c.tracer != nil {
 		c.trace(Event{Context: ctx.id, Kind: EvIssue, PC: e.PC, Seq: e.Seq,
-			Instr: e.Instr, Walk: e.WalkCycles, Port: port, Addr: e.EffAddr})
+			Instr: ctx.prog.At(e.PC), Walk: e.WalkCycles, Port: port, Addr: e.EffAddr})
 	}
 	if c.shadow != nil {
 		c.shadow.ShadowIssue(ctx, e, forward)
@@ -1088,11 +1082,11 @@ func (c *Core) tryIssueEntry(ctx *Context, e *pipeline.Entry) (bool, uint64) {
 	// Memory-order violation: this store's address matches a younger load
 	// that already executed with (possibly stale) memory data. Squash and
 	// re-fetch everything younger than the store.
-	if op.IsStore() && fault == nil {
+	if cls == pipeline.ClassStore && !e.HasFault {
 		violated := false
 		loads := ctx.sched.loads.refs
 		for i := len(loads) - 1; i >= 0 && loads[i].seq > e.Seq; i-- {
-			if ye := ctx.rob.BySlot(loads[i].slot); ye.State != pipeline.StateDispatched && ye.EffAddr == effAddr {
+			if ye := ctx.rob.BySlot(loads[i].slot); ye.State != pipeline.StateDispatched && ye.EffAddr == e.EffAddr {
 				violated = true
 				break
 			}
@@ -1103,27 +1097,29 @@ func (c *Core) tryIssueEntry(ctx *Context, e *pipeline.Entry) (bool, uint64) {
 			ctx.fetchPC = e.PC + 1
 			if c.tracer != nil {
 				c.trace(Event{Context: ctx.id, Kind: EvSquash, PC: e.PC, Seq: e.Seq,
-					Instr: e.Instr, Detail: "memory order violation"})
+					Instr: ctx.prog.At(e.PC), Detail: "memory order violation"})
 			}
 		}
 	}
 	return true, 0
 }
 
-// execute computes an instruction's latency, result and memory effects.
-// Functional effects on the cache/TLB/PWC state happen here (issue time);
-// architectural effects happen at commit. forward, when non-nil, is the
-// store-buffer entry a load forwards its data from.
-func (c *Core) execute(ctx *Context, e *pipeline.Entry, forward *pipeline.Entry) (lat int, result uint64, fault error, effAddr, physAddr mem.Addr, walkCycles int) {
-	in := e.Instr
+// execute computes an instruction's result and memory effects into e
+// (Result, EffAddr, PhysAddr, WalkCycles, a pending fault, the branch
+// outcome) and returns its latency. Functional effects on the
+// cache/TLB/PWC state happen here (issue time); architectural effects
+// happen at commit. forward, when non-nil, is the store-buffer entry a
+// load forwards its data from.
+func (c *Core) execute(ctx *Context, e *pipeline.Entry, forward *pipeline.Entry) int {
+	in := &e.Instr
 	a, b := e.Src[0].Value, e.Src[1].Value
-	lat = c.cfg.ALULat
+	lat := c.cfg.ALULat
 
 	switch in.Op {
 	case isa.OpRdtsc:
-		result = c.cycle
+		e.Result = c.cycle
 	case isa.OpRdrand:
-		result = c.rdrand()
+		e.Result = c.rdrand()
 	case isa.OpBeq, isa.OpBne, isa.OpBlt, isa.OpBge, isa.OpJmp:
 		e.ActualPC = e.PC + 1
 		if in.Taken(a, b) {
@@ -1131,52 +1127,52 @@ func (c *Core) execute(ctx *Context, e *pipeline.Entry, forward *pipeline.Entry)
 		}
 		e.Mispredicted = e.ActualPC != e.PredictedPC
 	case isa.OpLoad, isa.OpLoad32, isa.OpLoadF:
-		effAddr = a + uint64(in.Imm)
-		res := c.translate(ctx, effAddr, false)
-		lat, walkCycles = res.latency, res.walkCycles
-		if res.fault != nil {
-			fault = res.fault
-			return lat, 0, fault, effAddr, 0, walkCycles
+		e.EffAddr = a + uint64(in.Imm)
+		res := c.translate(ctx, e.EffAddr, false)
+		lat, e.WalkCycles = res.latency, res.walkCycles
+		if res.faulted {
+			e.HasFault, e.Fault = true, res.fault
+			return lat
 		}
-		physAddr = res.pa
-		if physAddr+8 > c.phys.Size() {
-			fault = &mem.Fault{VA: effAddr, Level: mem.PTE}
-			return lat, 0, fault, effAddr, 0, walkCycles
+		if res.pa+8 > c.phys.Size() {
+			e.HasFault, e.Fault = true, mem.Fault{VA: e.EffAddr, Level: mem.PTE}
+			return lat
 		}
+		e.PhysAddr = res.pa
 		if forward != nil {
 			// Store-to-load forwarding: data comes from the store buffer
 			// at L1-hit cost, without touching the cache hierarchy.
 			lat += c.cfg.Hierarchy.L1D.Latency
-			result = forward.Src[1].Value
+			e.Result = forward.Src[1].Value
 			if in.Op == isa.OpLoad32 {
-				result = uint64(uint32(result))
+				e.Result = uint64(uint32(e.Result))
 			}
 			break
 		}
 		if c.cfg.InvisibleSpeculation {
 			// InvisiSpec-style: the speculative load reads around the
 			// cache without filling it; the fill happens at commit.
-			plat, _ := c.hier.Probe(physAddr)
+			plat, _ := c.hier.Probe(e.PhysAddr)
 			lat += plat
 		} else {
-			lat += c.dataAccess(physAddr)
+			lat += c.dataAccess(e.PhysAddr)
 		}
 		if in.Op == isa.OpLoad32 {
-			result = uint64(c.phys.Read32(physAddr))
+			e.Result = uint64(c.phys.Read32(e.PhysAddr))
 		} else {
-			result = c.phys.Read64(physAddr)
+			e.Result = c.phys.Read64(e.PhysAddr)
 		}
 	case isa.OpStore, isa.OpStore32, isa.OpStoreF:
-		effAddr = a + uint64(in.Imm)
-		res := c.translate(ctx, effAddr, true)
-		lat, walkCycles = res.latency, res.walkCycles
-		if res.fault != nil {
-			fault = res.fault
-			return lat, 0, fault, effAddr, 0, walkCycles
+		e.EffAddr = a + uint64(in.Imm)
+		res := c.translate(ctx, e.EffAddr, true)
+		lat, e.WalkCycles = res.latency, res.walkCycles
+		if res.faulted {
+			e.HasFault, e.Fault = true, res.fault
+			return lat
 		}
-		physAddr = res.pa
-		if physAddr+8 > c.phys.Size() {
-			fault = &mem.Fault{VA: effAddr, Level: mem.PTE, Write: true}
+		e.PhysAddr = res.pa
+		if e.PhysAddr+8 > c.phys.Size() {
+			e.HasFault, e.Fault = true, mem.Fault{VA: e.EffAddr, Level: mem.PTE, Write: true}
 		}
 	case isa.OpNop, isa.OpFence, isa.OpTxBegin, isa.OpTxEnd, isa.OpTxAbort, isa.OpHalt:
 	default:
@@ -1185,7 +1181,7 @@ func (c *Core) execute(ctx *Context, e *pipeline.Entry, forward *pipeline.Entry)
 		// programs: Context.LoadProgram runs static.Validate, which
 		// rejects it before it can be fetched.
 		var ok bool
-		if result, ok = in.Eval(a, b); !ok {
+		if e.Result, ok = in.Eval(a, b); !ok {
 			panic(fmt.Sprintf("cpu: execute: unhandled op %s (program bypassed LoadProgram validation)", in.Op))
 		}
 		switch in.Op {
@@ -1200,8 +1196,7 @@ func (c *Core) execute(ctx *Context, e *pipeline.Entry, forward *pipeline.Entry)
 	if lat <= 0 {
 		lat = 1
 	}
-	lat += c.jitter()
-	return lat, result, fault, effAddr, physAddr, walkCycles
+	return lat + c.jitter()
 }
 
 func isSubnormal(f float64) bool {
@@ -1227,11 +1222,11 @@ func (c *Core) fetch() {
 			if ctx.serialize && ctx.rob.Len() > 0 {
 				break // post-flush fence: one instruction at a time
 			}
-			if ctx.fetchPC < 0 || ctx.fetchPC >= ctx.prog.Len() {
+			if ctx.fetchPC < 0 || ctx.fetchPC >= len(ctx.dec) {
 				ctx.fetchHalted = true
 				break
 			}
-			in := ctx.prog.At(ctx.fetchPC)
+			in := &ctx.dec[ctx.fetchPC]
 			e := c.dispatch(ctx, in, ctx.fetchPC)
 
 			switch {
@@ -1264,21 +1259,21 @@ func (c *Core) fetch() {
 // whose result is already final; operands still in flight are linked
 // into the producer's waiter list for capture at its completion
 // broadcast.
-func (c *Core) dispatch(ctx *Context, in isa.Instr, pc int) *pipeline.Entry {
+func (c *Core) dispatch(ctx *Context, in *pipeline.Decoded, pc int) *pipeline.Entry {
 	c.seq++
 	e := ctx.rob.Alloc()
 	e.Seq = c.seq
 	e.PC = pc
-	e.Instr = in
+	e.Instr = *in
 	e.State = pipeline.StateDispatched
 	e.Context = ctx.id
-	srcs := in.Sources()
-	for i, r := range srcs {
+	for i, r := range in.Src {
 		if r == isa.NoReg {
-			e.Src[i] = pipeline.Operand{Ready: true}
+			e.Src[i] = pipeline.Operand{Ready: true, Producer: pipeline.NoProducer}
 			continue
 		}
-		if prod := ctx.rat[r]; prod != nil {
+		if slot := ctx.rat[r]; slot != pipeline.NoProducer {
+			prod := ctx.rob.BySlot(slot)
 			if prod.State == pipeline.StateCompleted {
 				// The producer's result is final; capture now, keeping the
 				// link as provenance. (An issued-but-incomplete producer's
@@ -1286,19 +1281,19 @@ func (c *Core) dispatch(ctx *Context, in isa.Instr, pc int) *pipeline.Entry {
 				// consumer issuable before the completion broadcast —
 				// operand readiness must track completion, as the ROB walk
 				// this replaces did.)
-				e.Src[i] = pipeline.Operand{Ready: true, Value: prod.Result, Producer: prod}
+				e.Src[i] = pipeline.Operand{Ready: true, Value: prod.Result, Producer: slot}
 				if c.shadow != nil {
 					e.PendShadow[i] = prod.Shadow
 				}
 			} else {
-				e.Src[i] = pipeline.Operand{Producer: prod}
+				e.Src[i] = pipeline.Operand{Producer: slot}
 			}
 		} else {
-			e.Src[i] = pipeline.Operand{Ready: true, Value: ctx.regs[r]}
+			e.Src[i] = pipeline.Operand{Ready: true, Value: ctx.regs[r], Producer: pipeline.NoProducer}
 		}
 	}
-	if d := in.Dest(); d != isa.NoReg {
-		ctx.rat[d] = e
+	if d := in.Dest; d != isa.NoReg {
+		ctx.rat[d] = e.Slot
 	}
 	ctx.rob.Push(e)
 	ctx.nDispatched++
@@ -1312,7 +1307,7 @@ func (c *Core) dispatch(ctx *Context, in isa.Instr, pc int) *pipeline.Entry {
 	}
 	ctx.stats.Fetched++
 	if c.tracer != nil {
-		c.trace(Event{Context: ctx.id, Kind: EvFetch, PC: pc, Seq: e.Seq, Instr: in})
+		c.trace(Event{Context: ctx.id, Kind: EvFetch, PC: pc, Seq: e.Seq, Instr: ctx.prog.At(pc)})
 	}
 	return e
 }

@@ -10,8 +10,9 @@ import (
 type accessResult struct {
 	pa         mem.Addr
 	latency    int
-	walkCycles int        // 0 on a TLB hit
-	fault      *mem.Fault // non-nil when translation failed
+	walkCycles int       // 0 on a TLB hit
+	faulted    bool      // translation failed with fault
+	fault      mem.Fault // valid when faulted
 }
 
 // translate resolves va through the TLB complex, falling back to the
@@ -21,7 +22,7 @@ func (c *Core) translate(ctx *Context, va mem.Addr, write bool) accessResult {
 	if ctx.as == nil {
 		// No address space bound (a restored image whose schedule left a
 		// loaded context unbound): nothing translates.
-		return accessResult{latency: c.cfg.TLBL1Lat, fault: &mem.Fault{VA: va, Level: mem.PGD, Write: write}}
+		return accessResult{latency: c.cfg.TLBL1Lat, faulted: true, fault: mem.Fault{VA: va, Level: mem.PGD, Write: write}}
 	}
 	vpn := mem.PageNum(va)
 	pcid := ctx.as.PCID()
@@ -30,49 +31,37 @@ func (c *Core) translate(ctx *Context, va mem.Addr, write bool) accessResult {
 	if level == 2 {
 		lat += c.cfg.TLBL2Lat
 	}
+	walkLat := 0
 	if level == 0 {
 		lat += c.cfg.TLBL2Lat
-		walkLat, wtr, fault := c.pageWalk(ctx, va, write)
+		var failed mem.Level
+		var ok bool
+		walkLat, tr, failed, ok = c.pageWalk(ctx, va)
 		lat += walkLat
-		if fault != nil {
-			return accessResult{latency: lat, walkCycles: walkLat, fault: fault}
+		if !ok {
+			return accessResult{latency: lat, walkCycles: walkLat, faulted: true, fault: mem.Fault{VA: va, Level: failed, Write: write}}
 		}
-		tr = wtr
 		c.tlbs.InsertData(tr)
-		if res := c.permissionCheck(tr.Flags, va, write); res != nil {
-			return accessResult{latency: lat, walkCycles: walkLat, fault: res}
-		}
-		return accessResult{
-			pa:         tr.PPN<<mem.PageShift | mem.PageOffset(va),
-			latency:    lat,
-			walkCycles: walkLat,
-		}
 	}
-	if res := c.permissionCheck(tr.Flags, va, write); res != nil {
-		return accessResult{latency: lat, fault: res}
+	if write && !tr.Flags.Writable {
+		return accessResult{latency: lat, walkCycles: walkLat, faulted: true, fault: mem.Fault{VA: va, Level: mem.PTE, Write: true}}
 	}
-	return accessResult{pa: tr.PPN<<mem.PageShift | mem.PageOffset(va), latency: lat}
-}
-
-func (c *Core) permissionCheck(f tlb.EntryFlags, va mem.Addr, write bool) *mem.Fault {
-	if write && !f.Writable {
-		return &mem.Fault{VA: va, Level: mem.PTE, Write: true}
-	}
-	return nil
+	return accessResult{pa: tr.PPN<<mem.PageShift | mem.PageOffset(va), latency: lat, walkCycles: walkLat}
 }
 
 // pageWalk performs the hardware page walk of the paper's Figure 2: it
 // fetches PGD, PUD, PMD and PTE entries sequentially, each through the
 // page-walk cache (upper levels) or the data cache hierarchy. The walk
 // latency is therefore directly controlled by which cache level holds
-// each entry — the Replayer's §4.1.2 tuning knob.
-func (c *Core) pageWalk(ctx *Context, va mem.Addr, write bool) (lat int, tr tlb.Translation, fault *mem.Fault) {
+// each entry — the Replayer's §4.1.2 tuning knob. A walk that meets a
+// non-present entry returns ok false and the level it failed at.
+func (c *Core) pageWalk(ctx *Context, va mem.Addr) (lat int, tr tlb.Translation, failed mem.Level, ok bool) {
 	tablePPN := ctx.as.Root()
 	for l := mem.PGD; l <= mem.PTE; l++ {
 		if tablePPN >= c.phys.Frames() {
 			// A table frame beyond physical memory sets reserved address
 			// bits; the walk faults, as mem.AddressSpace's walks do.
-			return lat, tr, &mem.Fault{VA: va, Level: l, Write: write}
+			return lat, tr, l, false
 		}
 		ea := tablePPN<<mem.PageShift + mem.IndexFor(l, va)*mem.EntrySize
 		if l < mem.PTE && c.pwc.Lookup(ea) {
@@ -86,7 +75,7 @@ func (c *Core) pageWalk(ctx *Context, va mem.Addr, write bool) (lat int, tr tlb.
 		}
 		e := mem.Entry(c.phys.Read64(ea))
 		if !e.Present() {
-			return lat, tr, &mem.Fault{VA: va, Level: l, Write: write}
+			return lat, tr, l, false
 		}
 		if l == mem.PTE {
 			// Set the accessed bit, as the hardware walker does.
@@ -96,7 +85,7 @@ func (c *Core) pageWalk(ctx *Context, va mem.Addr, write bool) (lat int, tr tlb.
 				PPN:   e.PPN(),
 				PCID:  ctx.as.PCID(),
 				Flags: tlb.FlagsFromEntry(e),
-			}, nil
+			}, 0, true
 		}
 		tablePPN = e.PPN()
 	}

@@ -187,8 +187,8 @@ func (ctx *Context) schedDispatch(e *pipeline.Entry) {
 		}
 		p := e.Src[i].Producer
 		node := e.Slot*2 + int32(i)
-		s.waitNext[node] = s.waiterHead[p.Slot]
-		s.waiterHead[p.Slot] = node
+		s.waitNext[node] = s.waiterHead[p]
+		s.waiterHead[p] = node
 		n++
 	}
 	e.NPending = n
@@ -199,29 +199,29 @@ func (ctx *Context) schedDispatch(e *pipeline.Entry) {
 
 // queueMemOp appends a load or store to the back of its queue.
 func (s *schedState) queueMemOp(e *pipeline.Entry) {
-	switch op := e.Instr.Op; {
-	case op.IsLoad():
+	switch e.Instr.Class {
+	case pipeline.ClassLoad:
 		s.loads.insert(e)
-	case op.IsStore():
+	case pipeline.ClassStore:
 		s.stores.insert(e)
 	}
 }
 
 // popMemOp pops the retiring ROB head e off the front of its queue.
 func (s *schedState) popMemOp(e *pipeline.Entry) {
-	switch op := e.Instr.Op; {
-	case op.IsLoad():
+	switch e.Instr.Class {
+	case pipeline.ClassLoad:
 		s.loads.pop()
-	case op.IsStore():
+	case pipeline.ClassStore:
 		s.stores.pop()
 	}
 }
 
 // readyInsert places e on its ready list.
 func (ctx *Context) readyInsert(e *pipeline.Entry) {
-	l := rdtscList
-	if e.Instr.Op != isa.OpRdtsc {
-		l = int(pipeline.ClassOf(e.Instr.Op))
+	l := int(e.Instr.Class)
+	if e.Instr.Op == isa.OpRdtsc {
+		l = rdtscList
 	}
 	ctx.sched.ready[l].insert(e)
 }
@@ -249,7 +249,7 @@ func (ctx *Context) broadcast(p *pipeline.Entry) {
 		next := s.waitNext[node]
 		e := ctx.rob.BySlot(node >> 1)
 		i := node & 1
-		if e.State == pipeline.StateDispatched && !e.Src[i].Ready && e.Src[i].Producer == p {
+		if e.State == pipeline.StateDispatched && !e.Src[i].Ready && e.Src[i].Producer == p.Slot {
 			e.Src[i].Ready = true
 			e.Src[i].Value = p.Result
 			if shadow {
@@ -293,7 +293,7 @@ func (ctx *Context) schedRebuild() {
 				if e.Src[i].Ready {
 					continue
 				}
-				p := e.Src[i].Producer
+				p := ctx.rob.BySlot(e.Src[i].Producer)
 				if p.State == pipeline.StateCompleted || p.State == pipeline.StateRetired {
 					e.Src[i].Ready = true
 					e.Src[i].Value = p.Result

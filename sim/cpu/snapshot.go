@@ -20,14 +20,17 @@ import (
 // bit-identical (same trace events, same cycles, same final state) to the
 // original execution continuing past the snapshot point.
 //
-// Producer pointers inside ROB entries are encoded as indices into the
-// owning context's entry list. Captured (ready) operands drop their
-// provenance link — by capture time the sanitizer's dispatch hook has
-// already consumed it, so the restored machine is semantically identical
-// even though the pointer graph is not reproduced bit-for-bit. The
-// scheduler's derived wakeup state (ready lists, completion heap, waiter
-// links) is not encoded at all: recount rebuilds it exactly from the
-// restored ROB.
+// The producer slots inside ROB entries and the rename table are encoded
+// as indices into the owning context's entry list (oldest first); a
+// restore puts entry i in slab slot i, so the index is the restored slot.
+// Captured (ready) operands drop their provenance link — by capture time
+// the sanitizer's dispatch hook has already consumed it, so the restored
+// machine is semantically identical even though the links are not
+// reproduced bit-for-bit. An entry's instruction is encoded as the
+// program's isa.Instr at its PC, and a restore decodes it again from the
+// restored program. The scheduler's derived wakeup state (ready lists,
+// completion heap, waiter links) is not encoded at all: recount rebuilds
+// it exactly from the restored ROB.
 //
 // The snapshot does NOT include: the fault handler, the tracer, or the
 // contexts' address-space bindings. Those are host-side wiring (closures
@@ -243,15 +246,11 @@ func snapContext(ctx *Context) (ContextSnap, error) {
 	}
 
 	entries := ctx.rob.Entries()
-	index := make(map[*pipeline.Entry]int, len(entries))
-	for i, e := range entries {
-		index[e] = i
-	}
 	for _, e := range entries {
 		es := EntrySnap{
 			Seq:            e.Seq,
 			PC:             e.PC,
-			Instr:          e.Instr,
+			Instr:          ctx.prog.At(e.PC),
 			State:          e.State,
 			Context:        e.Context,
 			Result:         e.Result,
@@ -262,59 +261,57 @@ func snapContext(ctx *Context) (ContextSnap, error) {
 			Mispredicted:   e.Mispredicted,
 			EffAddr:        e.EffAddr,
 			PhysAddr:       e.PhysAddr,
+			HasFault:       e.HasFault,
+			Fault:          e.Fault,
 			WalkCycles:     e.WalkCycles,
 			SrcShadow:      e.SrcShadow,
 			PendShadow:     e.PendShadow,
 			Shadow:         e.Shadow,
 			CtrlShadow:     e.CtrlShadow,
 		}
-		if e.Fault != nil {
-			f, ok := e.Fault.(*mem.Fault)
-			if !ok {
-				return ContextSnap{}, fmt.Errorf("entry seq %d: unsupported fault type %T", e.Seq, e.Fault)
-			}
-			es.HasFault = true
-			es.Fault = *f
-		}
 		for i, op := range e.Src {
-			os, err := snapOperand(op, index)
-			if err != nil {
-				return ContextSnap{}, fmt.Errorf("entry seq %d src %d: %w", e.Seq, i, err)
+			if op.Ready {
+				// Captured: the provenance link is dropped (the producer's
+				// slot may have been recycled since).
+				es.Src[i] = OperandSnap{Ready: true, Value: op.Value, Producer: -1}
+				continue
 			}
-			es.Src[i] = os
+			// Pending: the engine's eager capture guarantees the producer
+			// is in flight.
+			j := robIndex(ctx.rob, entries, op.Producer)
+			if j < 0 {
+				p := ctx.rob.BySlot(op.Producer)
+				return ContextSnap{}, fmt.Errorf("entry seq %d src %d: pending producer seq %d in state %s is outside the ROB",
+					e.Seq, i, p.Seq, p.State)
+			}
+			es.Src[i] = OperandSnap{Producer: j}
 		}
 		s.ROB = append(s.ROB, es)
 	}
-	for r, e := range ctx.rat {
-		if e == nil {
+	for r, slot := range ctx.rat {
+		if slot == pipeline.NoProducer {
 			s.RAT[r] = -1
 			continue
 		}
-		i, ok := index[e]
-		if !ok {
+		j := robIndex(ctx.rob, entries, slot)
+		if j < 0 {
 			return ContextSnap{}, fmt.Errorf("RAT[%d] names an entry outside the ROB", r)
 		}
-		s.RAT[r] = i
+		s.RAT[r] = j
 	}
 	return s, nil
 }
 
-// snapOperand encodes one operand. Captured operands drop their
-// provenance link (it must not be dereferenced anyway — the producer's
-// slot may have been recycled); pending operands encode the producer's
-// ROB index, which the engine's eager capture guarantees is in flight.
-func snapOperand(op pipeline.Operand, index map[*pipeline.Entry]int) (OperandSnap, error) {
-	if op.Ready {
-		return OperandSnap{Ready: true, Value: op.Value, Producer: -1}, nil
+// robIndex returns the index in entries (the ROB, oldest first) of the
+// in-flight entry in slab slot, or -1 when the slot holds none. Entries
+// are in seq order, so the slot's seq finds it by binary search.
+func robIndex(rob *pipeline.ROB, entries []*pipeline.Entry, slot int32) int {
+	p := rob.BySlot(slot)
+	i := sort.Search(len(entries), func(i int) bool { return entries[i].Seq >= p.Seq })
+	if i < len(entries) && entries[i] == p {
+		return i
 	}
-	p := op.Producer
-	if p == nil {
-		return OperandSnap{}, fmt.Errorf("pending operand with no producer")
-	}
-	if i, ok := index[p]; ok {
-		return OperandSnap{Producer: i}, nil
-	}
-	return OperandSnap{}, fmt.Errorf("pending producer seq %d in state %s is outside the ROB", p.Seq, p.State)
+	return -1
 }
 
 // Restore overwrites the core's state with a snapshot. The core must have
@@ -364,15 +361,19 @@ func (c *Core) Restore(s *CoreSnap) error {
 // (isa.Program.Validate), and every in-flight entry must be an
 // instruction of it with a physical address inside memory (physBytes),
 // so that a damaged image is an error here rather than a panic mid-run.
+// The restored program is decoded, and each entry takes its decoded
+// instruction from there.
 func restoreContext(ctx *Context, s ContextSnap, physBytes uint64) error {
 	ctx.regs = s.Regs
 	ctx.prog = nil
+	ctx.dec = ctx.dec[:0]
 	if s.HasProg {
 		p := s.Prog.restore()
 		if err := p.Validate(); err != nil {
 			return err
 		}
 		ctx.prog = p
+		ctx.dec = pipeline.AppendDecoded(ctx.dec, p)
 	}
 	for i, es := range s.ROB {
 		if ctx.prog == nil || es.PC < 0 || es.PC >= ctx.prog.Len() || es.Instr != ctx.prog.Instrs[es.PC] {
@@ -412,17 +413,17 @@ func restoreContext(ctx *Context, s ContextSnap, physBytes uint64) error {
 	if err := ctx.rob.BeginReplace(len(s.ROB)); err != nil {
 		return err
 	}
-	entries := make([]*pipeline.Entry, len(s.ROB))
+	// Entry i takes slot i (BeginReplace), so a producer's ROB index is
+	// its slot.
 	for i, es := range s.ROB {
 		e := ctx.rob.Alloc()
-		slot := e.Slot
 		*e = pipeline.Entry{
 			Seq:            es.Seq,
 			PC:             es.PC,
-			Instr:          es.Instr,
+			Instr:          ctx.dec[es.PC],
 			State:          es.State,
 			Context:        es.Context,
-			Slot:           slot,
+			Slot:           e.Slot,
 			Result:         es.Result,
 			CompleteAt:     es.CompleteAt,
 			PredictedTaken: es.PredictedTaken,
@@ -431,6 +432,7 @@ func restoreContext(ctx *Context, s ContextSnap, physBytes uint64) error {
 			Mispredicted:   es.Mispredicted,
 			EffAddr:        es.EffAddr,
 			PhysAddr:       es.PhysAddr,
+			HasFault:       es.HasFault,
 			WalkCycles:     es.WalkCycles,
 			SrcShadow:      es.SrcShadow,
 			PendShadow:     es.PendShadow,
@@ -438,33 +440,28 @@ func restoreContext(ctx *Context, s ContextSnap, physBytes uint64) error {
 			CtrlShadow:     es.CtrlShadow,
 		}
 		if es.HasFault {
-			f := es.Fault
-			e.Fault = &f
+			e.Fault = es.Fault
 		}
-		ctx.rob.Push(e)
-		entries[i] = e
-	}
-	// Second pass: link producer pointers now that every entry exists.
-	for i, es := range s.ROB {
 		for j, os := range es.Src {
 			switch {
 			case os.Ready:
-				entries[i].Src[j] = pipeline.Operand{Ready: true, Value: os.Value}
-			case os.Producer < 0 || os.Producer >= len(entries):
+				e.Src[j] = pipeline.Operand{Ready: true, Value: os.Value, Producer: pipeline.NoProducer}
+			case os.Producer < 0 || os.Producer >= len(s.ROB):
 				return fmt.Errorf("entry %d src %d: producer index %d out of range", i, j, os.Producer)
 			default:
-				entries[i].Src[j] = pipeline.Operand{Producer: entries[os.Producer]}
+				e.Src[j] = pipeline.Operand{Producer: int32(os.Producer)}
 			}
 		}
+		ctx.rob.Push(e)
 	}
 	for r, idx := range s.RAT {
 		switch {
 		case idx < 0:
-			ctx.rat[r] = nil
-		case idx >= len(entries):
+			ctx.rat[r] = pipeline.NoProducer
+		case idx >= len(s.ROB):
 			return fmt.Errorf("RAT[%d]: entry index %d out of range", r, idx)
 		default:
-			ctx.rat[r] = entries[idx]
+			ctx.rat[r] = int32(idx)
 		}
 	}
 	if err := ctx.bp.Restore(s.BP); err != nil {

@@ -11,7 +11,7 @@ import (
 func alloc(r *ROB, seq uint64, op isa.Op) *Entry {
 	e := r.Alloc()
 	e.Seq = seq
-	e.Instr = isa.Instr{Op: op}
+	e.Instr = Decode(isa.Instr{Op: op})
 	e.State = StateDispatched
 	r.Push(e)
 	return e
@@ -118,7 +118,10 @@ func TestROBResetRefillsFreeList(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := uint64(0); i < 3; i++ {
-		alloc(r, 10+i, isa.OpNop)
+		// A restore names producers by ROB index: entry i takes slot i.
+		if e := alloc(r, 10+i, isa.OpNop); e.Slot != int32(i) {
+			t.Errorf("restored entry %d took slot %d", i, e.Slot)
+		}
 	}
 	if !r.Full() || r.Head().Seq != 10 {
 		t.Errorf("after replace: len=%d head=%v", r.Len(), r.Head())
@@ -129,44 +132,52 @@ func TestROBResetRefillsFreeList(t *testing.T) {
 }
 
 func TestPortsForClasses(t *testing.T) {
-	if p := PortsFor(isa.OpDiv); len(p) != 1 || p[0] != PortDiv {
+	if p := classPorts[ClassOf(isa.OpDiv)]; len(p) != 1 || p[0] != PortDiv {
 		t.Errorf("div ports = %v", p)
 	}
-	if p := PortsFor(isa.OpFDiv); len(p) != 1 || p[0] != PortDiv {
+	if p := classPorts[ClassOf(isa.OpFDiv)]; len(p) != 1 || p[0] != PortDiv {
 		t.Errorf("fdiv ports = %v", p)
 	}
-	if p := PortsFor(isa.OpLoad); len(p) != 2 {
+	if p := classPorts[ClassOf(isa.OpLoad)]; len(p) != 2 {
 		t.Errorf("load ports = %v", p)
 	}
-	if p := PortsFor(isa.OpAdd); len(p) != 2 || p[0] != PortALU0 {
+	if p := classPorts[ClassOf(isa.OpAdd)]; len(p) != 2 || p[0] != PortALU0 {
 		t.Errorf("alu ports = %v", p)
 	}
-	if p := PortsFor(isa.OpFMul); len(p) != 1 || p[0] != PortMul {
+	if p := classPorts[ClassOf(isa.OpFMul)]; len(p) != 1 || p[0] != PortMul {
 		t.Errorf("fmul ports = %v", p)
+	}
+	if p := classPorts[ClassOf(isa.OpBeq)]; len(p) != 2 || p[0] != PortALU1 {
+		t.Errorf("branch ports = %v", p)
+	}
+	for cls, ports := range classPorts {
+		if len(ports) == 0 {
+			t.Errorf("class %d has no port", cls)
+		}
 	}
 }
 
 func TestPortSetPerCycleSlots(t *testing.T) {
 	var ps PortSet
 	ps.NewCycle(1)
-	if _, ok := ps.TryIssue(isa.OpStore, 1); !ok {
+	if _, ok := ps.TryIssue(ClassStore, 1); !ok {
 		t.Fatal("first store issue failed")
 	}
-	if _, ok := ps.TryIssue(isa.OpStore, 1); ok {
+	if _, ok := ps.TryIssue(ClassStore, 1); ok {
 		t.Error("second store issued on single store port")
 	}
 	// Two loads per cycle on two ports, third fails.
-	if _, ok := ps.TryIssue(isa.OpLoad, 1); !ok {
+	if _, ok := ps.TryIssue(ClassLoad, 1); !ok {
 		t.Error("load0 failed")
 	}
-	if _, ok := ps.TryIssue(isa.OpLoad, 1); !ok {
+	if _, ok := ps.TryIssue(ClassLoad, 1); !ok {
 		t.Error("load1 failed")
 	}
-	if _, ok := ps.TryIssue(isa.OpLoad, 1); ok {
+	if _, ok := ps.TryIssue(ClassLoad, 1); ok {
 		t.Error("third load issued")
 	}
 	ps.NewCycle(2)
-	if _, ok := ps.TryIssue(isa.OpStore, 1); !ok {
+	if _, ok := ps.TryIssue(ClassStore, 1); !ok {
 		t.Error("store slot not recycled next cycle")
 	}
 }
@@ -174,7 +185,7 @@ func TestPortSetPerCycleSlots(t *testing.T) {
 func TestDividerNonPipelined(t *testing.T) {
 	var ps PortSet
 	ps.NewCycle(10)
-	if _, ok := ps.TryIssue(isa.OpFDiv, 24); !ok {
+	if _, ok := ps.TryIssue(ClassDiv, 24); !ok {
 		t.Fatal("first div failed")
 	}
 	if !ps.DivBusy() {
@@ -182,11 +193,17 @@ func TestDividerNonPipelined(t *testing.T) {
 	}
 	// Busy for the full 24 cycles: issue at 33 fails, at 34 succeeds.
 	ps.NewCycle(33)
-	if _, ok := ps.TryIssue(isa.OpFDiv, 24); ok {
+	if _, ok := ps.TryIssue(ClassDiv, 24); ok {
 		t.Error("div issued while unit busy (should contend)")
 	}
+	if at := ps.RetryAt(ClassDiv); at != 34 {
+		t.Errorf("div RetryAt = %d, want the divider-free cycle 34", at)
+	}
+	if at := ps.RetryAt(ClassALU); at != 34 {
+		t.Errorf("alu RetryAt = %d, want the next cycle 34", at)
+	}
 	ps.NewCycle(34)
-	if _, ok := ps.TryIssue(isa.OpFDiv, 24); !ok {
+	if _, ok := ps.TryIssue(ClassDiv, 24); !ok {
 		t.Error("div failed after unit freed")
 	}
 	if ps.DivBusyCycles != 48 {
@@ -197,11 +214,11 @@ func TestDividerNonPipelined(t *testing.T) {
 func TestMulIsPipelined(t *testing.T) {
 	var ps PortSet
 	ps.NewCycle(1)
-	if _, ok := ps.TryIssue(isa.OpMul, 3); !ok {
+	if _, ok := ps.TryIssue(ClassMul, 3); !ok {
 		t.Fatal("mul issue failed")
 	}
 	ps.NewCycle(2)
-	if _, ok := ps.TryIssue(isa.OpMul, 3); !ok {
+	if _, ok := ps.TryIssue(ClassMul, 3); !ok {
 		t.Error("mul not pipelined: back-to-back issue failed")
 	}
 }

@@ -44,44 +44,15 @@ func (p Port) String() string {
 	return fmt.Sprintf("Port(%d)", int(p))
 }
 
-// PortsFor returns the ports on which op may issue, in preference order.
-func PortsFor(op isa.Op) []Port {
-	switch {
-	case op.IsLoad():
-		return loadPorts
-	case op.IsStore():
-		return storePorts
-	case op.IsBranch():
-		return branchPorts
-	}
-	switch op {
-	case isa.OpMul, isa.OpFMul, isa.OpFAdd:
-		return mulPorts
-	case isa.OpDiv, isa.OpFDiv:
-		return divPorts
-	default:
-		return aluPorts
-	}
-}
-
-var (
-	aluPorts    = []Port{PortALU0, PortALU1}
-	branchPorts = []Port{PortALU1, PortALU0}
-	mulPorts    = []Port{PortMul}
-	divPorts    = []Port{PortDiv}
-	loadPorts   = []Port{PortLoad0, PortLoad1}
-	storePorts  = []Port{PortStore}
-)
-
-// PortClass identifies a group of ops with identical PortsFor preference
+// PortClass identifies a group of ops with identical port preference
 // lists. Structural issue failure is class-uniform: if one ready op of a
 // class cannot claim a port this cycle, no other op of the same class
 // can either (they compete for exactly the same ports in the same
 // order), so the issue stage keeps one ready queue per class and skips a
 // whole class on its first structural failure.
-type PortClass int
+type PortClass uint8
 
-// Port classes, mirroring PortsFor.
+// Port classes.
 const (
 	ClassALU PortClass = iota
 	ClassBranch
@@ -92,8 +63,19 @@ const (
 	NumPortClasses
 )
 
-// ClassOf returns the port class of op (the partition induced by
-// PortsFor).
+// classPorts lists the ports each class may issue on, in preference
+// order.
+var classPorts = [NumPortClasses][]Port{
+	ClassALU:    {PortALU0, PortALU1},
+	ClassBranch: {PortALU1, PortALU0},
+	ClassMul:    {PortMul},
+	ClassDiv:    {PortDiv},
+	ClassLoad:   {PortLoad0, PortLoad1},
+	ClassStore:  {PortStore},
+}
+
+// ClassOf returns the port class of op. The decoder calls it once per
+// static instruction (Decode); the cycle engine reads Decoded.Class.
 func ClassOf(op isa.Op) PortClass {
 	switch {
 	case op.IsLoad():
@@ -133,13 +115,13 @@ func (ps *PortSet) NewCycle(cycle uint64) {
 	}
 }
 
-// TryIssue attempts to claim a port for op this cycle. The divider is
-// non-pipelined: a div may only begin when the unit is idle, and occupies
-// it for the instruction's full latency (passed by the caller via
-// occupancy). For pipelined ports occupancy is ignored — one issue per
-// cycle per port. It returns the claimed port.
-func (ps *PortSet) TryIssue(op isa.Op, occupancy uint64) (Port, bool) {
-	for _, p := range PortsFor(op) {
+// TryIssue attempts to claim a port of class cls this cycle. The
+// divider is non-pipelined: a div may only begin when the unit is idle,
+// and occupies it for the instruction's full latency (passed by the
+// caller via occupancy). For pipelined ports occupancy is ignored — one
+// issue per cycle per port. It returns the claimed port.
+func (ps *PortSet) TryIssue(cls PortClass, occupancy uint64) (Port, bool) {
+	for _, p := range classPorts[cls] {
 		if ps.issuedThis[p] {
 			continue
 		}
@@ -156,13 +138,14 @@ func (ps *PortSet) TryIssue(op isa.Op, occupancy uint64) (Port, bool) {
 	return 0, false
 }
 
-// RetryAt returns the earliest cycle at which an op that failed TryIssue
-// this cycle could next claim a port: the divider-free cycle for div ops
-// blocked on the non-pipelined divider, otherwise the next cycle (the
-// per-cycle issue slots reset every NewCycle). The fast-forward engine
-// uses it to know how long an issue-ready entry stays provably blocked.
-func (ps *PortSet) RetryAt(op isa.Op) uint64 {
-	if PortsFor(op)[0] == PortDiv && ps.divBusyUntil > ps.cycle {
+// RetryAt returns the earliest cycle at which an op of class cls that
+// failed TryIssue this cycle could next claim a port: the divider-free
+// cycle for div ops blocked on the non-pipelined divider, otherwise the
+// next cycle (the per-cycle issue slots reset every NewCycle). The
+// fast-forward engine uses it to know how long an issue-ready entry
+// stays provably blocked.
+func (ps *PortSet) RetryAt(cls PortClass) uint64 {
+	if cls == ClassDiv && ps.divBusyUntil > ps.cycle {
 		return ps.divBusyUntil
 	}
 	return ps.cycle + 1

@@ -12,7 +12,7 @@ package pipeline
 import (
 	"fmt"
 
-	"microscope/sim/isa"
+	"microscope/sim/mem"
 )
 
 // EntryState tracks an instruction's progress through the ROB.
@@ -48,29 +48,39 @@ func (s EntryState) String() string {
 }
 
 // Operand is one source operand of a ROB entry. Ready is authoritative:
-// when set, Value holds the captured data. Producer records the renaming
-// entry the operand was sourced from at dispatch (nil for operands read
-// from the architectural register file); it is kept as provenance after
-// the value is captured, so consumers (the shadow-taint tracker) can tell
-// a renamed operand from an architectural one — but it must never be
-// dereferenced once Ready is set, because the producer's ROB slot may
-// have been recycled by then (the slab reuses slots of retired and
-// squashed entries).
+// when set, Value holds the captured data. Producer is the slab slot of
+// the renaming entry the operand was sourced from at dispatch
+// (NoProducer for operands read from the architectural register file).
+// It is kept as provenance after the value is captured, so consumers
+// (the shadow-taint tracker) can tell a renamed operand from an
+// architectural one — but once Ready is set the slot must not be read,
+// because the slab may have recycled it for a younger instruction.
 type Operand struct {
 	Ready    bool
 	Value    uint64 // valid when Ready (float operands carry IEEE-754 bits)
-	Producer *Entry // renaming producer at dispatch; provenance only once Ready
+	Producer int32  // producer's slab slot at dispatch; provenance only once Ready
 }
+
+// NoProducer is the Producer of an operand read from the architectural
+// register file, and the rename-table value of a register no in-flight
+// entry renames.
+const NoProducer int32 = -1
 
 // Entry is one in-flight instruction. Entries live in their ROB's slab
 // and are identified by a stable Slot for the lifetime of one dynamic
 // instruction; Seq is the forever-unique dispatch identity (slot reuse
-// means a retained (Entry, Seq) pair can be validated: the slot belongs
+// means a retained (Slot, Seq) pair can be validated: the slot belongs
 // to the same dynamic instruction iff the seqs still match).
+//
+// An Entry is a plain value: it holds no pointer, string or interface.
+// Its instruction is the Decoded record, operands name their producers
+// by slot, and a pending exception is a mem.Fault value. So the garbage
+// collector never scans the slab, and a store into an entry takes no
+// write barrier.
 type Entry struct {
 	Seq     uint64 // global dispatch order, used for age comparisons
 	PC      int
-	Instr   isa.Instr
+	Instr   Decoded
 	State   EntryState
 	Context int
 	Slot    int32 // slab index, stable for the entry's ROB lifetime
@@ -97,10 +107,11 @@ type Entry struct {
 	Mispredicted   bool
 
 	// Memory access bookkeeping.
-	EffAddr    uint64 // virtual address
-	PhysAddr   uint64 // translation result, valid unless Fault != nil
-	Fault      error  // pending precise exception (*mem.Fault wrapped by cpu)
-	WalkCycles int    // page-walk duration observed by this access (0 = TLB hit)
+	EffAddr    uint64    // virtual address
+	PhysAddr   uint64    // translation result, valid unless HasFault
+	HasFault   bool      // a precise exception is pending: Fault
+	Fault      mem.Fault // the pending page fault, valid when HasFault
+	WalkCycles int       // page-walk duration observed by this access (0 = TLB hit)
 
 	// Shadow-taint state, maintained by an attached cpu.ShadowTracker
 	// (sim/sanitizer) together with the cycle engine. All zero while no

@@ -5,9 +5,10 @@ import "fmt"
 // Snapshot types for the checkpoint/restore subsystem (sim/snapshot).
 // Each passive pipeline structure exposes a plain-data Snap struct plus
 // Snapshot/Restore methods; the composition into a whole-machine image
-// lives in sim/snapshot. ROB entries are snapshotted by sim/cpu (they
-// carry cross-entry producer pointers that need the context's rename
-// state to encode), so the ROB itself only provides BeginReplace.
+// lives in sim/snapshot. ROB entries are snapshotted by sim/cpu (their
+// operands and the context's rename table name producers by slab slot,
+// which the image encodes as ROB indices), so the ROB itself only
+// provides BeginReplace.
 
 // PortSetSnap is the serializable state of a PortSet.
 type PortSetSnap struct {
@@ -82,9 +83,11 @@ func (bp *Predictor) Restore(s PredictorSnap) error {
 
 // BeginReplace empties the ROB for a snapshot restore, after checking
 // the incoming entry count fits. The caller then Alloc+Pushes each
-// restored entry in program order. It returns an error instead of
-// panicking when the count exceeds capacity: a corrupt or mismatched
-// snapshot must surface as a decode error, not a crash.
+// restored entry in program order, and the i-th Alloc returns slot i, so
+// a restored operand or rename link names its producer's slot by the
+// producer's ROB index. It returns an error instead of panicking when
+// the count exceeds capacity: a corrupt or mismatched snapshot must
+// surface as a decode error, not a crash.
 func (r *ROB) BeginReplace(n int) error {
 	if n > r.cap {
 		return fmt.Errorf("pipeline: %d snapshot entries exceed ROB capacity %d", n, r.cap)
