@@ -87,9 +87,14 @@ func (r *Report) ChannelCounts() [sidechan.NumChannels]int {
 	return counts
 }
 
-// JSON renders the report as indented JSON.
+// JSON renders the report as indented JSON. A report without findings
+// encodes them as [], not null.
 func (r *Report) JSON() ([]byte, error) {
-	return json.MarshalIndent(r, "", "  ")
+	doc := *r
+	if doc.Findings == nil {
+		doc.Findings = []Finding{}
+	}
+	return json.MarshalIndent(&doc, "", "  ")
 }
 
 // Text renders the report for terminals: a header, one entry per

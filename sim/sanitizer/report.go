@@ -273,7 +273,7 @@ func (s *Sanitizer) Reconcile(rep *static.Report, fs []Finding, ctxID int) *Reco
 	}
 	sort.Ints(pcs)
 
-	rec := &Reconciliation{}
+	rec := &Reconciliation{Entries: []ReconcileEntry{}}
 	for _, pc := range pcs {
 		sfs, dfs := stat[pc], dyn[pc]
 		switch {
