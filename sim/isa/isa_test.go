@@ -137,17 +137,26 @@ func TestBuilderDuplicateLabel(t *testing.T) {
 }
 
 func TestValidateRejectsBadRegClass(t *testing.T) {
-	p := &Program{Instrs: []Instr{{Op: OpFAdd, Rd: R1, Rs1: F0, Rs2: F1}}}
-	if err := p.Validate(); err == nil {
-		t.Error("fadd with integer dest passed validation")
-	}
-	p = &Program{Instrs: []Instr{{Op: OpLoad, Rd: R1, Rs1: F0}}}
-	if err := p.Validate(); err == nil {
-		t.Error("load with float base passed validation")
-	}
-	p = &Program{Instrs: []Instr{{Op: OpLoadF, Rd: F1, Rs1: R0}}}
-	if err := p.Validate(); err != nil {
-		t.Errorf("valid fld rejected: %v", err)
+	for _, c := range []struct {
+		what  string
+		in    Instr
+		valid bool
+	}{
+		{"fadd with integer dest", Instr{Op: OpFAdd, Rd: R1, Rs1: F0, Rs2: F1}, false},
+		{"load with float base", Instr{Op: OpLoad, Rd: R1, Rs1: F0}, false},
+		{"fld", Instr{Op: OpLoadF, Rd: F1, Rs1: R0}, true},
+		{"add reading NoReg", Instr{Op: OpAdd, Rd: R1, Rs1: NoReg, Rs2: R2}, false},
+		{"add writing NoReg", Instr{Op: OpAdd, Rd: NoReg, Rs1: R1, Rs2: R2}, false},
+		{"ld with NoReg in its unused slot", Instr{Op: OpLoad, Rd: R1, Rs1: R2, Rs2: NoReg}, true},
+		{"st with NoReg in its unused slot", Instr{Op: OpStore, Rd: NoReg, Rs1: R2, Rs2: R3}, true},
+	} {
+		err := (&Program{Instrs: []Instr{c.in}}).Validate()
+		if c.valid && err != nil {
+			t.Errorf("%s rejected: %v", c.what, err)
+		}
+		if !c.valid && err == nil {
+			t.Errorf("%s passed validation", c.what)
+		}
 	}
 }
 
