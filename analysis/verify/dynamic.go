@@ -137,7 +137,9 @@ func (r *runner) replay(rig *platform.Rig, lay *victim.Layout, asg Assignment) e
 	if err := rig.Module.Install(rcp); err != nil {
 		return err
 	}
-	asg.Start(rig, lay)
+	if err := asg.Start(rig, lay); err != nil {
+		return err
+	}
 	if err := rig.Run(r.cfg.MaxCycles); err != nil {
 		return fmt.Errorf("verify: run of %q: %w", lay.Name, err)
 	}
@@ -198,12 +200,18 @@ func (a Assignment) apply(rig *platform.Rig, lay *victim.Layout) (*victim.Layout
 }
 
 // Start starts the layout Boot or apply returned on the victim context
-// and sets the assigned secret registers.
-func (a Assignment) Start(rig *platform.Rig, lay *victim.Layout) {
-	lay.Start(rig.Kernel, 0)
-	for _, rv := range a.Regs {
-		rig.Core.Context(0).SetReg(rv.Reg, rv.Val)
+// and sets the assigned secret registers. A program or entry the core
+// rejects (see cpu.Context.LoadProgram) is an error, not a panic: a
+// user's victim script can hold one.
+func (a Assignment) Start(rig *platform.Rig, lay *victim.Layout) error {
+	ctx := rig.Core.Context(0)
+	if err := ctx.LoadProgram(lay.Prog, lay.Entry); err != nil {
+		return err
 	}
+	for _, rv := range a.Regs {
+		ctx.SetReg(rv.Reg, rv.Val)
+	}
+	return nil
 }
 
 // patchSecretImms rewrites every immediate-load of an assigned secret-
