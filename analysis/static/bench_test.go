@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"microscope/analysis/static"
+	"microscope/analysis/verify"
 	"microscope/attack/experiments"
 )
 
@@ -17,7 +18,7 @@ func BenchmarkAnalyze(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			sec := layoutSecrets(lay)
+			sec := verify.NewSubject(lay).Secrets
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -13,24 +13,15 @@ import (
 
 	"microscope/analysis/sidechan"
 	"microscope/analysis/static"
+	"microscope/analysis/verify"
 	"microscope/attack/victim"
 	"microscope/sim/cpu"
 	"microscope/sim/isa"
 )
 
-// layoutSecrets converts a victim layout's secret declaration into the
-// scanner's taint-source form.
-func layoutSecrets(l *victim.Layout) static.Secrets {
-	s := static.Secrets{Regs: l.SecretRegs}
-	for _, m := range l.SecretMems() {
-		s.Mems = append(s.Mems, static.MemRange{Lo: m[0], Hi: m[1]})
-	}
-	return s
-}
-
 func analyzeLayout(t *testing.T, l *victim.Layout) *static.Report {
 	t.Helper()
-	r, err := static.Analyze(l.Name, l.Prog, layoutSecrets(l), static.DefaultConfig())
+	r, err := static.Analyze(l.Name, l.Prog, verify.NewSubject(l).Secrets, static.DefaultConfig())
 	if err != nil {
 		t.Fatalf("analyze %s: %v", l.Name, err)
 	}

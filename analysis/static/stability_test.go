@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"microscope/analysis/static"
+	"microscope/analysis/verify"
 	"microscope/attack/victim"
 )
 
@@ -22,12 +23,7 @@ func TestReportEncodingByteStable(t *testing.T) {
 			t.Fatal(err)
 		}
 		l := v.Layout
-		var sec static.Secrets
-		sec.Regs = l.SecretRegs
-		for _, m := range l.SecretMems() {
-			sec.Mems = append(sec.Mems, static.MemRange{Lo: m[0], Hi: m[1]})
-		}
-		r, err := static.Analyze(l.Name, l.Prog, sec, static.DefaultConfig())
+		r, err := static.Analyze(l.Name, l.Prog, verify.NewSubject(l).Secrets, static.DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -128,17 +128,9 @@ func assembleSanRig(t *testing.T, tgt SanTarget, attach bool) (*platform.Rig, *s
 	}
 	var san *sanitizer.Sanitizer
 	if attach {
-		san = sanitizer.New(rig.Core, sanitizer.DefaultConfig())
-		for _, r := range lay.SecretRegs {
-			san.SeedReg(0, r, r.String())
+		if san, err = AttachSanitizer(rig, lay, sanitizer.DefaultConfig()); err != nil {
+			t.Fatal(err)
 		}
-		for i, name := range lay.SecretRegions {
-			rng := lay.SecretMems()[i]
-			if err := san.SeedMemory(rig.Victim.AddressSpace(), rng[0], rng[1], name); err != nil {
-				t.Fatal(err)
-			}
-		}
-		rig.Core.SetShadow(san)
 	}
 	d := verify.DefaultConfig()
 	rcp := &microscope.Recipe{

@@ -161,17 +161,10 @@ func (o *observers) attachSanitizer(rig *platform.Rig, l *victim.Layout) error {
 	if !sanitize {
 		return nil
 	}
-	san := sanitizer.New(rig.Core, sanitizer.DefaultConfig())
-	for _, r := range l.SecretRegs {
-		san.SeedReg(0, r, r.String())
+	san, err := experiments.AttachSanitizer(rig, l, sanitizer.DefaultConfig())
+	if err != nil {
+		return err
 	}
-	for i, name := range l.SecretRegions {
-		rng := l.SecretMems()[i]
-		if err := san.SeedMemory(rig.Victim.AddressSpace(), rng[0], rng[1], name); err != nil {
-			return err
-		}
-	}
-	rig.Core.SetShadow(san)
 	o.san = san
 	return nil
 }
