@@ -10,15 +10,19 @@ import (
 	"microscope/sim/mem"
 )
 
-// Victim scripts: a textual format for defining custom victims, used by
-// cmd/asmlab for attack exploration. A script is ISA assembly (see
-// sim/isa.Assemble) plus `;;` directives that declare the memory image:
+// Victim scripts: the textual format for user-defined victims, read by
+// cmd/asmlab for attack exploration and by cmd/mscan's scan, verifier
+// and sanitizer. A script is ISA assembly (see sim/isa.Assemble) plus
+// `;;` directives that declare the memory image and the secrets:
 //
 //	;; region <name> <addr> <ro|rw> [pages]   data region (default 1 page)
 //	;; init <name>+<off> <value>              64-bit word initializer
 //	;; symbol <name> <region>[+<off>]         named address for recipes
 //	;; entry <label>                          start label (default: first instr)
+//	;; secret <region>                        the region holds secrets
+//	;; secret-reg <reg>                       the register holds a secret at entry
 //
+// A secret is a whole region, declared by an earlier region directive.
 // Directive lines are comments to the assembler, so the same text
 // assembles cleanly.
 
@@ -131,6 +135,23 @@ func ParseScript(name, src string) (*Layout, error) {
 				return nil, fail("entry wants <label>")
 			}
 			entryLabel = fields[1]
+		case "secret":
+			if len(fields) != 2 {
+				return nil, fail("secret wants <region>")
+			}
+			if _, ok := regions[fields[1]]; !ok {
+				return nil, fail("secret before region %q", fields[1])
+			}
+			l.SecretRegions = append(l.SecretRegions, fields[1])
+		case "secret-reg":
+			if len(fields) != 2 {
+				return nil, fail("secret-reg wants <reg>")
+			}
+			r, err := isa.ParseReg(fields[1])
+			if err != nil {
+				return nil, fail("%v", err)
+			}
+			l.SecretRegs = append(l.SecretRegs, r)
 		default:
 			return nil, fail("unknown directive %q", fields[0])
 		}
@@ -148,6 +169,9 @@ func ParseScript(name, src string) (*Layout, error) {
 		idx, ok := prog.LabelOf(entryLabel)
 		if !ok {
 			return nil, fmt.Errorf("victim: script %s: entry label %q undefined", name, entryLabel)
+		}
+		if idx >= prog.Len() {
+			return nil, fmt.Errorf("victim: script %s: entry label %q follows the last instruction", name, entryLabel)
 		}
 		l.Entry = idx
 	}

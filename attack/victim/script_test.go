@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"microscope/sim/cpu"
+	"microscope/sim/isa"
 	"microscope/sim/kernel"
 	"microscope/sim/mem"
 )
@@ -19,6 +20,9 @@ const testScript = `
 ;; init data+4096 77
 ;; symbol second data+4096
 ;; entry start
+;; secret ro
+;; secret-reg r5
+;; secret-reg F2
 
         nop
 start:  movi r1, 0x400000
@@ -61,6 +65,12 @@ func TestParseScript(t *testing.T) {
 	// Init bytes: little-endian 0xdeadbeef at offset 8.
 	if l.Regions[0].Init[8] != 0xef || l.Regions[0].Init[11] != 0xde {
 		t.Errorf("init bytes = % x", l.Regions[0].Init[8:12])
+	}
+	if got := l.SecretMems(); len(got) != 1 || got[0] != [2]uint64{0x402000, 0x403000} {
+		t.Errorf("secret ranges = %#x, want the ro region", got)
+	}
+	if got := l.SecretRegs; len(got) != 2 || got[0] != isa.R5 || got[1] != isa.F0+2 {
+		t.Errorf("secret registers = %v, want [r5 f2]", got)
 	}
 }
 
@@ -109,10 +119,17 @@ func TestParseScriptErrors(t *testing.T) {
 		{"init offset wraps", wrapInitScript, "outside region"},
 		{"symbol missing region", ";; symbol s r+0\nnop", "before region"},
 		{"bad entry", ";; entry nowhere\nnop\nhalt", "undefined"},
+		{"entry past the end", ";; entry end\nhalt\nend:", "follows the last instruction"},
 		{"empty program", ";; region r 0x400000 rw\n; nothing", "no instructions"},
 		{"bad assembly", "frob r1\nhalt", "unknown mnemonic"},
 		{"bad region pages", ";; region r 0x400000 rw zero\nnop", "bad page count"},
 		{"region beyond physical memory", hugeRegionScript, "exceed the 64 MB of physical memory"},
+		{"secret before its region", ";; secret s\n;; region s 0x400000 rw\nnop", "line 1: secret before region \"s\""},
+		{"secret of no region", ";; region r 0x400000 rw\n;; secret nowhere\nnop", "line 2: secret before region \"nowhere\""},
+		{"secret arity", ";; region r 0x400000 rw\n;; secret r r\nnop", "secret wants <region>"},
+		{"secret-reg unknown register", ";; secret-reg x5\nnop", `bad register "x5"`},
+		{"secret-reg out of range", ";; secret-reg r16\nnop", "register out of range"},
+		{"secret-reg arity", ";; secret-reg\nnop", "secret-reg wants <reg>"},
 	}
 	for _, c := range cases {
 		_, err := ParseScript("t", c.src)
@@ -122,16 +139,18 @@ func TestParseScriptErrors(t *testing.T) {
 	}
 }
 
-// FuzzParseScript feeds the victim-script parser, which cmd/asmlab runs
-// on user files, arbitrary text. ParseScript returns a layout or an
-// error, never both and never a panic, and every region it accepts
-// holds its initializer.
+// FuzzParseScript feeds the victim-script parser, which cmd/asmlab and
+// cmd/mscan run on user files, arbitrary text. ParseScript returns a
+// layout or an error, never both and never a panic, every region it
+// accepts holds its initializer, and every secret it accepts names a
+// region.
 func FuzzParseScript(f *testing.F) {
 	example, err := os.ReadFile(filepath.Join("..", "..", "examples", "asmlab", "victim.s"))
 	if err != nil {
 		f.Fatal(err)
 	}
-	for _, seed := range []string{string(example), testScript, wrapInitScript, hugeRegionScript} {
+	secretFirst := ";; secret s\n;; region s 0x400000 rw\n;; secret-reg f15\nnop"
+	for _, seed := range []string{string(example), testScript, wrapInitScript, hugeRegionScript, secretFirst} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
@@ -147,6 +166,8 @@ func FuzzParseScript(f *testing.F) {
 				t.Fatalf("region %s: %d init bytes in a %d-byte region", r.Name, len(r.Init), r.Size)
 			}
 		}
+		// Every secret names a region, so this cannot panic.
+		l.SecretMems()
 	})
 }
 

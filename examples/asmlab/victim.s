@@ -1,12 +1,14 @@
-; A scriptable victim for cmd/asmlab: a replay handle followed by a
-; secret-dependent probe-line access (the quickstart attack, in assembly).
-; Lines starting with ';;' are layout directives; ';' starts a comment.
+; A scriptable victim for cmd/asmlab and cmd/mscan: a replay handle
+; followed by a secret-dependent probe-line access (the quickstart attack,
+; in assembly). Lines starting with ';;' are layout directives; ';' starts
+; a comment.
 ;
 ;; region handle 0x400000 rw
 ;; region probe  0x410000 rw
 ;; region secret 0x420000 rw
 ;; init secret+0 3
 ;; symbol hotline probe+192
+;; secret secret
 
         movi r1, 0x400000      ; &handle
         movi r2, 0x410000      ; probe base

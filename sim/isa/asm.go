@@ -152,21 +152,21 @@ func assembleLine(b *Builder, line string) error {
 	case OpMovImm, OpFLoadImm:
 		return asmRegImm(b, op, args)
 	case OpMov, OpFMov:
-		rd, err := parseReg(args[0])
+		rd, err := ParseReg(args[0])
 		if err != nil {
 			return err
 		}
-		rs, err := parseReg(args[1])
+		rs, err := ParseReg(args[1])
 		if err != nil {
 			return err
 		}
 		in.Rd, in.Rs1 = rd, rs
 	case OpAddImm, OpAndImm, OpShlImm, OpShrImm:
-		rd, err := parseReg(args[0])
+		rd, err := ParseReg(args[0])
 		if err != nil {
 			return err
 		}
-		rs, err := parseReg(args[1])
+		rs, err := ParseReg(args[1])
 		if err != nil {
 			return err
 		}
@@ -177,21 +177,21 @@ func assembleLine(b *Builder, line string) error {
 		in.Rd, in.Rs1, in.Imm = rd, rs, imm
 	case OpAdd, OpSub, OpAnd, OpOr, OpXor, OpShl, OpShr, OpMul, OpDiv,
 		OpFAdd, OpFMul, OpFDiv:
-		rd, err := parseReg(args[0])
+		rd, err := ParseReg(args[0])
 		if err != nil {
 			return err
 		}
-		rs1, err := parseReg(args[1])
+		rs1, err := ParseReg(args[1])
 		if err != nil {
 			return err
 		}
-		rs2, err := parseReg(args[2])
+		rs2, err := ParseReg(args[2])
 		if err != nil {
 			return err
 		}
 		in.Rd, in.Rs1, in.Rs2 = rd, rs1, rs2
 	case OpLoad, OpLoad32, OpLoadF:
-		rd, err := parseReg(args[0])
+		rd, err := ParseReg(args[0])
 		if err != nil {
 			return err
 		}
@@ -201,7 +201,7 @@ func assembleLine(b *Builder, line string) error {
 		}
 		in.Rd, in.Rs1, in.Imm = rd, base, imm
 	case OpStore, OpStore32, OpStoreF:
-		rs, err := parseReg(args[0])
+		rs, err := ParseReg(args[0])
 		if err != nil {
 			return err
 		}
@@ -211,11 +211,11 @@ func assembleLine(b *Builder, line string) error {
 		}
 		in.Rs2, in.Rs1, in.Imm = rs, base, imm
 	case OpBeq, OpBne, OpBlt, OpBge:
-		rs1, err := parseReg(args[0])
+		rs1, err := ParseReg(args[0])
 		if err != nil {
 			return err
 		}
-		rs2, err := parseReg(args[1])
+		rs2, err := ParseReg(args[1])
 		if err != nil {
 			return err
 		}
@@ -226,7 +226,7 @@ func assembleLine(b *Builder, line string) error {
 		b.emitTo(in, args[0])
 		return nil
 	case OpRdtsc, OpRdrand:
-		rd, err := parseReg(args[0])
+		rd, err := ParseReg(args[0])
 		if err != nil {
 			return err
 		}
@@ -239,7 +239,7 @@ func assembleLine(b *Builder, line string) error {
 }
 
 func asmRegImm(b *Builder, op Op, args []string) error {
-	rd, err := parseReg(args[0])
+	rd, err := ParseReg(args[0])
 	if err != nil {
 		return err
 	}
@@ -265,7 +265,9 @@ func arity(op Op) int {
 	}
 }
 
-func parseReg(s string) (Reg, error) {
+// ParseReg parses a register name as the assembler writes it: r0-r15
+// or f0-f15, in either case.
+func ParseReg(s string) (Reg, error) {
 	s = strings.ToLower(strings.TrimSpace(s))
 	if len(s) < 2 {
 		return NoReg, fmt.Errorf("bad register %q", s)
@@ -315,7 +317,7 @@ func parseMem(s string) (imm int64, base Reg, err error) {
 			return 0, NoReg, err
 		}
 	}
-	base, err = parseReg(s[open+1 : close])
+	base, err = ParseReg(s[open+1 : close])
 	return imm, base, err
 }
 
