@@ -9,6 +9,7 @@ import (
 
 	"microscope/analysis/sweep"
 	"microscope/analysis/verify"
+	"microscope/attack/experiments"
 )
 
 // The evidence gate: golden_verdicts.json pins only verdict strings, so
@@ -55,14 +56,14 @@ type evidenceDoc struct {
 
 // subjectOf builds a builtin's verifier subject with its conventional
 // replay handle.
-func subjectOf(t *testing.T, b builtin) *verify.Subject {
+func subjectOf(t *testing.T, tgt experiments.SanTarget) *verify.Subject {
 	t.Helper()
-	lay, err := b.build()
+	lay, err := tgt.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
 	sub := verify.NewSubject(lay)
-	sub.Handle = lay.Sym(b.handle)
+	sub.Handle = lay.Sym(tgt.Handle)
 	return sub
 }
 
@@ -79,23 +80,23 @@ func TestGoldenEvidence(t *testing.T) {
 		mu.Unlock()
 	}
 	t.Run("collect", func(t *testing.T) {
-		for _, b := range builtins() {
-			b := b
-			t.Run(b.name, func(t *testing.T) {
+		for _, tgt := range experiments.SanTargets() {
+			tgt := tgt
+			t.Run(tgt.Name, func(t *testing.T) {
 				t.Parallel()
-				res, err := verify.Verify(subjectOf(t, b), verify.DefaultConfig())
+				res, err := verify.Verify(subjectOf(t, tgt), verify.DefaultConfig())
 				if err != nil {
 					t.Fatal(err)
 				}
-				put(got.Prove, b.name, evidenceOf(res))
-				rr, err := verify.Repair(subjectOf(t, b), verify.DefaultConfig())
+				put(got.Prove, tgt.Name, evidenceOf(res))
+				rr, err := verify.Repair(subjectOf(t, tgt), verify.DefaultConfig())
 				if err != nil {
 					t.Fatal(err)
 				}
-				put(got.Repair, b.name, evidenceOf(rr.Result))
+				put(got.Repair, tgt.Name, evidenceOf(rr.Result))
 			})
 		}
-		ct, err := findBuiltin("ctcontrol")
+		ct, err := experiments.FindSanTarget("ctcontrol")
 		if err != nil {
 			t.Fatal(err)
 		}

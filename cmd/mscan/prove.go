@@ -9,7 +9,8 @@ import (
 )
 
 // The -prove mode: run the constant-time verifier (and optionally the
-// fence-repair pass) over a built-in victim and render the outcome.
+// fence-repair pass) over a builtin victim or a victim script and
+// render the outcome.
 
 // proveOutput is the -prove -json document.
 type proveOutput struct {
@@ -17,29 +18,9 @@ type proveOutput struct {
 	Repair *verify.RepairResult `json:"repair,omitempty"`
 }
 
-func runProve(o options, out io.Writer) (int, error) {
-	if o.victim == "" {
-		return exitUsage, fmt.Errorf("-prove requires -victim (the dynamic witness runs need a full memory layout)")
-	}
-	b, err := findBuiltin(o.victim)
-	if err != nil {
-		return exitUsage, err
-	}
-	lay, err := b.build()
-	if err != nil {
-		return exitUsage, err
-	}
-
-	sub := verify.NewSubject(lay)
-	handleSym := b.handle
-	if o.handle != "" {
-		handleSym = o.handle
-	}
-	h, ok := lay.Symbols[handleSym]
-	if !ok {
-		return exitUsage, fmt.Errorf("victim %s has no symbol %q for the replay handle", lay.Name, handleSym)
-	}
-	sub.Handle = h
+func runProve(o options, in input, out io.Writer) (int, error) {
+	sub := verify.NewSubject(in.lay)
+	sub.Handle = in.lay.Symbols[in.handle]
 
 	cfg := verifyConfig(o)
 	doc := &proveOutput{}

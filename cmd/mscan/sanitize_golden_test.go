@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"microscope/analysis/static"
+	"microscope/attack/experiments"
 	"microscope/sim/cpu/cputest"
 	"microscope/sim/isa"
 )
@@ -142,9 +143,9 @@ func collectStaticRun(t *testing.T, seed int64, window int) staticRun {
 
 func TestGoldenSanitize(t *testing.T) {
 	got := sanitizeDoc{Builtins: map[string]sanitizeRun{}, Generated: map[string]staticRun{}}
-	for _, b := range builtins() {
+	for _, tgt := range experiments.SanTargets() {
 		for _, fs := range sanitizeFlagSets {
-			got.Builtins[b.name+"/"+fs.name] = collectSanitizeRun(t, b.name, fs.args)
+			got.Builtins[tgt.Name+"/"+fs.name] = collectSanitizeRun(t, tgt.Name, fs.args)
 		}
 	}
 	for seed := int64(1); seed <= genPrograms; seed++ {
