@@ -161,22 +161,25 @@ func BenchmarkStepDividerConvoy(b *testing.B) {
 	benchStep(b, convoyProgram(), nil, convoyFull)
 }
 
-// BenchmarkStepReplayWindow is the replay case of the AES key sweep:
-// the handler never maps the handle's page and flushes its translation
-// path from the caches and the page-walk cache, as MicroScope's module
-// does, so every walk is slow, the window fills the ROB behind the
-// handle, and every fault squashes and re-fetches it.
+// replayHandler installs the replay fault handler of
+// replayWindowProgram: it never maps the handle's page and flushes its
+// translation path from the caches and the page-walk cache, as
+// MicroScope's module does, so every walk is slow, the window fills the
+// ROB behind the handle, and every fault squashes and re-fetches it.
+func replayHandler(c *Core, as *mem.AddressSpace) {
+	steps, _ := as.Walk(replayHandleVA) // the leaf is not present: a fault with every step
+	c.SetFaultHandler(FaultHandlerFunc(func(PageFault) FaultOutcome {
+		for _, s := range steps {
+			c.FlushPageStructures(s.EntryAddr)
+		}
+		return FaultOutcome{HandlerLatency: 1000}
+	}))
+}
+
+// BenchmarkStepReplayWindow is the replay case of the AES key sweep
+// (replayHandler).
 func BenchmarkStepReplayWindow(b *testing.B) {
-	setup := func(c *Core, as *mem.AddressSpace) {
-		steps, _ := as.Walk(replayHandleVA) // the leaf is not present: a fault with every step
-		c.SetFaultHandler(FaultHandlerFunc(func(PageFault) FaultOutcome {
-			for _, s := range steps {
-				c.FlushPageStructures(s.EntryAddr)
-			}
-			return FaultOutcome{HandlerLatency: 1000}
-		}))
-	}
-	benchStep(b, replayWindowProgram(), setup, func(ctx *Context) error {
+	benchStep(b, replayWindowProgram(), replayHandler, func(ctx *Context) error {
 		// The first walk is short and faults before the window fills;
 		// every later one starts from a flushed translation path.
 		st := ctx.stats

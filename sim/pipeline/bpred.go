@@ -4,10 +4,15 @@ package pipeline
 // counters for direction plus a branch target buffer. SGX-style defenses
 // flush it at the enclave boundary (paper footnote 2 / [12]); MicroScope
 // side-steps that flush, which the attack/victim tests demonstrate.
+//
+// The tables are allocated by the first Update. Until then they read as
+// all zero (every branch not taken, no BTB target), which is what
+// zeroed tables would answer, so a context that never resolves a branch
+// costs only the predictor header.
 type Predictor struct {
-	counters []uint8 // 2-bit saturating, 0..3; >=2 predicts taken
+	counters []uint8 // 2-bit saturating, 0..3; >=2 predicts taken; nil until the first Update
 	btb      []btbEntry
-	mask     int //simlint:snapexempt derived geometry: len(counters)-1, recomputed at construction; snapshots restore into a same-size predictor
+	mask     int //simlint:snapexempt derived geometry: table size - 1, set at construction; snapshots restore into a same-size predictor
 
 	// Statistics.
 	Lookups     uint64
@@ -20,14 +25,16 @@ type btbEntry struct {
 	target int
 }
 
-// NewPredictor returns a predictor with 2^bits entries.
+// NewPredictor returns a predictor with 2^bits entries. It allocates no
+// table; the first Update does.
 func NewPredictor(bits int) *Predictor {
-	n := 1 << bits
-	return &Predictor{
-		counters: make([]uint8, n),
-		btb:      make([]btbEntry, n),
-		mask:     n - 1,
-	}
+	return &Predictor{mask: 1<<bits - 1}
+}
+
+// allocate gives the predictor its zeroed tables.
+func (bp *Predictor) allocate() {
+	bp.counters = make([]uint8, bp.mask+1)
+	bp.btb = make([]btbEntry, bp.mask+1)
 }
 
 // Predict returns the predicted direction and target for the conditional
@@ -35,6 +42,9 @@ func NewPredictor(bits int) *Predictor {
 // not-taken (fetch continues at pc+1).
 func (bp *Predictor) Predict(pc int) (taken bool, target int) {
 	bp.Lookups++
+	if bp.counters == nil {
+		return false, pc + 1
+	}
 	i := pc & bp.mask
 	taken = bp.counters[i] >= 2
 	if e := bp.btb[i]; e.valid && e.pc == pc {
@@ -51,11 +61,14 @@ func (bp *Predictor) Predict(pc int) (taken bool, target int) {
 // so the fetch engine needs no BTB lookup for direct branches.
 func (bp *Predictor) PredictDirection(pc int) bool {
 	bp.Lookups++
-	return bp.counters[pc&bp.mask] >= 2
+	return bp.counters != nil && bp.counters[pc&bp.mask] >= 2
 }
 
 // Update trains the predictor with the resolved outcome.
 func (bp *Predictor) Update(pc int, taken bool, target int) {
+	if bp.counters == nil {
+		bp.allocate()
+	}
 	i := pc & bp.mask
 	if taken {
 		if bp.counters[i] < 3 {
