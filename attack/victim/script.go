@@ -157,6 +157,16 @@ func ParseScript(name, src string) (*Layout, error) {
 		}
 	}
 
+	for _, r := range regions {
+		l.Regions = append(l.Regions, *r)
+	}
+	// Deterministic region order (map iteration is random).
+	sort.Slice(l.Regions, func(i, j int) bool { return l.Regions[i].VA < l.Regions[j].VA })
+	if need, have := installFrames(l.Regions), uint64(PlatformMemBytes/mem.PageSize); need > have {
+		return nil, fmt.Errorf("victim: script %s: its regions and their page tables need %d physical frames, the platform has %d",
+			name, need, have)
+	}
+
 	prog, err := isa.Assemble(src)
 	if err != nil {
 		return nil, fmt.Errorf("victim: script %s: %w", name, err)
@@ -175,12 +185,54 @@ func ParseScript(name, src string) (*Layout, error) {
 		}
 		l.Entry = idx
 	}
-	for _, r := range regions {
-		l.Regions = append(l.Regions, *r)
-	}
-	// Deterministic region order (map iteration is random).
-	sort.Slice(l.Regions, func(i, j int) bool { return l.Regions[i].VA < l.Regions[j].VA })
 	return l, nil
+}
+
+// installFrames returns the physical frames Install takes to map
+// regions into a fresh address space: one per distinct page, one PUD,
+// PMD and PTE table per distinct 512 GB, 1 GB and 2 MB span of those
+// pages, and the PGD. The page tables index only the low 48 bits of an
+// address, so addresses that differ above them share a page.
+func installFrames(regions []Region) uint64 {
+	const space = 1 << 48
+	type span struct{ lo, hi uint64 } // [lo, hi) in the 48-bit space
+	var spans []span
+	for _, r := range regions {
+		lo := r.VA & (space - 1)
+		hi := lo + r.Size
+		if hi > space { // wraps to the bottom of the space
+			spans = append(spans, span{0, hi - space})
+			hi = space
+		}
+		spans = append(spans, span{lo, hi})
+	}
+	sort.Slice(spans, func(i, j int) bool { return spans[i].lo < spans[j].lo })
+	var merged []span
+	for _, s := range spans {
+		if n := len(merged); n > 0 && s.lo <= merged[n-1].hi {
+			merged[n-1].hi = max(merged[n-1].hi, s.hi)
+			continue
+		}
+		merged = append(merged, s)
+	}
+	frames := uint64(1) // the PGD
+	for _, s := range merged {
+		frames += (s.hi - s.lo) / mem.PageSize
+	}
+	// One table per span its entries map: 2 MB for a PTE table, 1 GB
+	// for a PMD, 512 GB for a PUD. The merged spans are sorted and
+	// disjoint, so next skips a table an earlier span already counted.
+	for _, shift := range []uint{mem.PageShift + 9, mem.PageShift + 18, mem.PageShift + 27} {
+		next := uint64(0)
+		for _, s := range merged {
+			first, last := max(s.lo>>shift, next), (s.hi-1)>>shift
+			if last >= first {
+				frames += last - first + 1
+				next = last + 1
+			}
+		}
+	}
+	return frames
 }
 
 func parseAddr(s string) (uint64, error) {

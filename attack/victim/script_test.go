@@ -130,11 +130,42 @@ func TestParseScriptErrors(t *testing.T) {
 		{"secret-reg unknown register", ";; secret-reg x5\nnop", `bad register "x5"`},
 		{"secret-reg out of range", ";; secret-reg r16\nnop", "register out of range"},
 		{"secret-reg arity", ";; secret-reg\nnop", "secret-reg wants <reg>"},
+		// 16,349 pages at 0x400000 and their 35 tables fill the 16,384
+		// frames (TestInstallScriptFillingMemory in attack/platform).
+		{"region one page past physical memory", ";; region r 0x400000 rw 16350\nnop", "need 16385 physical frames, the platform has 16384"},
+		{"regions that fit alone but not together", ";; region a 0x400000 rw 9000\n;; region b 0x40000000 rw 9000\nnop", "need 18040 physical frames"},
 	}
 	for _, c := range cases {
 		_, err := ParseScript("t", c.src)
 		if err == nil || !strings.Contains(err.Error(), c.errSub) {
 			t.Errorf("%s: err = %v, want substring %q", c.name, err, c.errSub)
+		}
+	}
+}
+
+// installFrames counts the frames Install takes: distinct pages, once
+// however many regions cover them, and the page tables that map them,
+// which addresses equal in their low 48 bits share.
+func TestInstallFrames(t *testing.T) {
+	for _, src := range []string{
+		";; region a 0x400000 rw",
+		";; region a 0x400000 rw 3\n;; region b 0x401000 ro 4",
+		";; region a 0x5ff000 rw 2",
+		";; region a 0x3ffff000 rw 2\n;; region b 0x7ffff000 rw",
+		";; region a 0x400000 rw\n;; region b 0x1000000400000 rw",
+		";; region a 0xfffffffff000 rw 2",
+		";; region a 0x400000 rw\n;; region b 0x8000000000 rw\n;; region c 0x8000200000 rw",
+	} {
+		l, err := ParseScript("frames", src+"\nhalt")
+		if err != nil {
+			t.Fatalf("%q: %v", src, err)
+		}
+		r := newRig(t)
+		if err := l.Install(r.k, r.proc); err != nil {
+			t.Fatalf("%q: %v", src, err)
+		}
+		if got, want := installFrames(l.Regions), r.core.Phys().AllocatedFrames(); got != want {
+			t.Errorf("%q: installFrames = %d, Install took %d", src, got, want)
 		}
 	}
 }

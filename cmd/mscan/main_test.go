@@ -278,6 +278,26 @@ func TestRejectsIgnoredFlags(t *testing.T) {
 	}
 }
 
+// A script whose regions cannot be installed on the platform is a
+// usage error in every mode, before a platform boots.
+func TestRejectsScriptBeyondMemory(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "big.s")
+	if err := os.WriteFile(path, []byte(";; region handle 0x400000 rw 16350\nhalt\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range [][]string{nil, {"-prove"}, {"-sanitize"}} {
+		args := append([]string{"-script", path}, mode...)
+		var buf bytes.Buffer
+		code, err := runArgs(t, &buf, args...)
+		if code != exitUsage || err == nil || !strings.Contains(err.Error(), "need 16385 physical frames, the platform has 16384") {
+			t.Errorf("%q: code %d, err %v; want %d and the frame counts", args, code, err, exitUsage)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%q: wrote output before rejecting the script:\n%s", args, buf.String())
+		}
+	}
+}
+
 // exampleScript is the victim script asmlab's example runs: a replay
 // handle at pc 4, then a probe-line load at pc 7 whose address the
 // declared secret region selects.
