@@ -30,8 +30,13 @@ type Rig struct {
 	Monitor *kernel.Process
 }
 
-// New assembles a platform with the given core configuration.
+// New assembles a platform with the given core configuration. An
+// invalid configuration (cpu.Config.Validate) is an error, returned
+// before anything is built.
 func New(cfg cpu.Config) (*Rig, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	phys := mem.NewPhysMem(victim.PlatformMemBytes)
 	core := cpu.NewCore(cfg, phys)
 	k := kernel.New(kernel.DefaultConfig(), phys, core)

@@ -14,7 +14,11 @@
 // the replay handle.
 package cpu
 
-import "microscope/sim/cache"
+import (
+	"fmt"
+
+	"microscope/sim/cache"
+)
 
 // Config parameterizes a core. DefaultConfig approximates the paper's
 // Intel Xeon E5-1630 v3 (Haswell) at the fidelity the attacks need.
@@ -146,15 +150,40 @@ func DefaultConfig() Config {
 	}
 }
 
-func (c Config) validate() {
-	switch {
-	case c.Contexts <= 0:
-		panic("cpu: Contexts must be positive")
-	case c.ROBSize <= 0:
-		panic("cpu: ROBSize must be positive")
-	case c.FetchWidth <= 0 || c.IssueWidth <= 0 || c.RetireWidth <= 0:
-		panic("cpu: pipeline widths must be positive")
-	case c.DivLat <= 0 || c.FDivLat <= 0:
-		panic("cpu: divider latencies must be positive")
+// maxPredictorBits bounds BranchPredictorBits. A 2^16-entry predictor
+// (1.6 MB of tables per context) already gives every instruction of a
+// 64 K-instruction program its own entry; larger tables only cost host
+// memory, and from 63 bits the table size overflows an int.
+const maxPredictorBits = 16
+
+// Validate reports the first field of c that cannot build a core: a
+// context count, ROB size, pipeline width or divider latency that is not
+// positive, BranchPredictorBits outside 0–16, or an invalid cache level.
+// The error names the field.
+func (c Config) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"Contexts", c.Contexts}, {"ROBSize", c.ROBSize},
+		{"FetchWidth", c.FetchWidth}, {"IssueWidth", c.IssueWidth}, {"RetireWidth", c.RetireWidth},
+		{"DivLat", c.DivLat}, {"FDivLat", c.FDivLat},
+	} {
+		if f.v <= 0 {
+			return fmt.Errorf("cpu: %s %d must be positive", f.name, f.v)
+		}
 	}
+	if c.BranchPredictorBits < 0 || c.BranchPredictorBits > maxPredictorBits {
+		return fmt.Errorf("cpu: BranchPredictorBits %d outside 0-%d", c.BranchPredictorBits, maxPredictorBits)
+	}
+	h := c.Hierarchy
+	for _, l := range []struct {
+		name string
+		cfg  cache.Config
+	}{{"L1D", h.L1D}, {"L1I", h.L1I}, {"L2", h.L2}, {"L3", h.L3}} {
+		if err := l.cfg.Validate(); err != nil {
+			return fmt.Errorf("cpu: Hierarchy.%s: %w", l.name, err)
+		}
+	}
+	return nil
 }
