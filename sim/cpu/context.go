@@ -172,6 +172,7 @@ func (ctx *Context) load(p *isa.Program, entry int) {
 	}
 	ctx.prog = p
 	ctx.dec = pipeline.AppendDecoded(ctx.dec[:0], p)
+	ctx.rob.Reserve()
 	ctx.jvReset()
 	ctx.fetchPC = entry
 	ctx.fetchHalted = false

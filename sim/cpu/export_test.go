@@ -11,9 +11,7 @@ type SchedChecker struct {
 
 // NewSchedChecker returns a checker for c.
 func NewSchedChecker(c *Core) *SchedChecker {
-	k := &SchedChecker{core: c}
-	k.scratch.init(c.cfg.ROBSize)
-	return k
+	return &SchedChecker{core: c, scratch: schedState{size: c.cfg.ROBSize}}
 }
 
 // Check rebuilds every context's scheduler state into scratch storage
