@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"reflect"
 	"testing"
 
 	"microscope/attack/experiments"
@@ -152,6 +153,40 @@ func TestSGXStepIsHighResolutionButNoisy(t *testing.T) {
 	t.Logf("noisy probe:   steps=%d roundErrors=%d", noisy.Steps, noisy.RoundErrors)
 	if noisy.RoundErrors < clean.RoundErrors {
 		t.Errorf("probe noise reduced errors (%d < %d)?", noisy.RoundErrors, clean.RoundErrors)
+	}
+}
+
+// TestSGXStepResultsPinned pins the exact step counts, round errors and
+// per-round extractions of the three stepping runs above, so a change to
+// how the stepper drives the core cannot move a single observation.
+func TestSGXStepResultsPinned(t *testing.T) {
+	for _, c := range []struct {
+		key, pt     string
+		interval    uint64
+		noisePeriod int
+		steps       int
+		roundErrors int
+		extracted   map[int]uint16
+	}{
+		{"0123456789abcdef", "attack at dawn!!", 25, 0, 42, 9, map[int]uint16{
+			1: 0x81e0, 2: 0x19c8, 3: 0x0d09, 4: 0x8c1b, 5: 0xa132,
+			6: 0x2720, 7: 0x6425, 8: 0xc445, 9: 0xd040, 10: 0x0000}},
+		{"0123456789abcdef", "attack at dawn!!", 25, 23, 42, 9, map[int]uint16{
+			1: 0xa1e0, 2: 0x1bdc, 3: 0x4d89, 4: 0x9c3b, 5: 0xa53a,
+			6: 0xa760, 7: 0x6c35, 8: 0xc641, 9: 0xd0e1, 10: 0x1408}},
+		{"fedcba9876543210", "0123456789abcdef", 40, 0, 25, 9, map[int]uint16{
+			1: 0x88d2, 2: 0x2872, 3: 0x79c4, 4: 0x1998, 5: 0x08d8,
+			6: 0x05d0, 7: 0x85d1, 8: 0x8213, 9: 0x0203, 10: 0x0000}},
+	} {
+		res, err := RunSGXStep([]byte(c.key), []byte(c.pt), c.interval, c.noisePeriod)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Steps != c.steps || res.RoundErrors != c.roundErrors || !reflect.DeepEqual(res.ExtractedPerRound, c.extracted) {
+			t.Errorf("key %s interval %d noise %d: steps=%d roundErrors=%d extracted=%#x; want %d, %d, %#x",
+				c.key, c.interval, c.noisePeriod, res.Steps, res.RoundErrors, res.ExtractedPerRound,
+				c.steps, c.roundErrors, c.extracted)
+		}
 	}
 }
 
