@@ -131,41 +131,6 @@ type SpecSanResult struct {
 	Replays int
 }
 
-// ReplayWindows converts a MicroScope module timeline into the cycle
-// windows the sanitizer attributes transmit events to: each handle
-// fault opens replay iteration N (closing iteration N-1), and the
-// release — or the end of time — closes the last one. Pivoted recipes
-// interleave per-recipe faults; later windows win on overlap, so the
-// innermost (most recent) recipe claims the cycle, matching the module's
-// own TraceAnnotations.
-func ReplayWindows(tl []microscope.TimelineEvent) []sanitizer.ReplayWindow {
-	var ws []sanitizer.ReplayWindow
-	open := make(map[string]int)  // recipe -> index into ws
-	count := make(map[string]int) // recipe -> iterations seen
-	for _, ev := range tl {
-		switch ev.Kind {
-		case microscope.EvHandleFault:
-			if i, ok := open[ev.Recipe]; ok {
-				ws[i].End = ev.Cycle
-			}
-			count[ev.Recipe]++
-			open[ev.Recipe] = len(ws)
-			ws = append(ws, sanitizer.ReplayWindow{
-				Recipe: ev.Recipe,
-				N:      count[ev.Recipe],
-				Start:  ev.Cycle,
-				End:    ^uint64(0),
-			})
-		case microscope.EvRelease:
-			if i, ok := open[ev.Recipe]; ok {
-				ws[i].End = ev.Cycle
-				delete(open, ev.Recipe)
-			}
-		}
-	}
-	return ws
-}
-
 // RunSpecSan assembles a rig, attaches a sanitizer seeded from the
 // layout's secret declaration, arms the MicroScope module on the
 // target's replay handle, runs to completion and reconciles the
@@ -237,7 +202,7 @@ func RunSpecSanLayout(name string, lay *victim.Layout, handleSym string, cfg Spe
 		return nil, err
 	}
 	san.Flush()
-	windows := ReplayWindows(rig.Module.Timeline())
+	windows := rig.Module.ReplayWindows()
 	san.AttributeReplays(windows)
 
 	rep, err := static.Analyze(lay.Name, lay.Prog, verify.NewSubject(lay).Secrets, cfg.Static)

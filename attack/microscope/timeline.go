@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"microscope/sim/mem"
+	"microscope/sim/sanitizer"
 	"microscope/sim/trace"
 )
 
@@ -69,55 +70,68 @@ func (m *Module) Timeline() []TimelineEvent {
 // ClearTimeline resets the log.
 func (m *Module) ClearTimeline() { m.timeline = m.timeline[:0] }
 
+// ReplayWindows converts the module timeline into the cycle windows
+// the sanitizer attributes transmit events to: each handle fault opens
+// replay iteration N of its recipe (closing iteration N-1), and the
+// release, or the end of time, closes the last one. Pivoted recipes
+// interleave per-recipe faults; the windows come in the order their
+// faults occurred, so a later, innermost recipe's window wins on
+// overlap.
+func (m *Module) ReplayWindows() []sanitizer.ReplayWindow {
+	var ws []sanitizer.ReplayWindow
+	open := map[string]int{}  // recipe -> index into ws
+	count := map[string]int{} // recipe -> iterations seen
+	for _, ev := range m.timeline {
+		switch ev.Kind {
+		case EvHandleFault:
+			if i, ok := open[ev.Recipe]; ok {
+				ws[i].End = ev.Cycle
+			}
+			count[ev.Recipe]++
+			open[ev.Recipe] = len(ws)
+			ws = append(ws, sanitizer.ReplayWindow{
+				Recipe: ev.Recipe,
+				N:      count[ev.Recipe],
+				Start:  ev.Cycle,
+				End:    ^uint64(0),
+			})
+		case EvRelease:
+			if i, ok := open[ev.Recipe]; ok {
+				ws[i].End = ev.Cycle
+				delete(open, ev.Recipe)
+			}
+		}
+	}
+	return ws
+}
+
 // TraceAnnotations converts the module timeline into Chrome-trace
 // annotations for sim/trace's exporter: each recipe gets its own
-// "replayer" track, every EvHandleFault opens a numbered replay
-// iteration that runs until the next fault or the release, and the
-// remaining module actions (setup, pivots, arming, release) render as
-// instant markers. Layered over the per-context pipeline tracks this
+// "replayer" track, every replay window renders as a numbered "replay
+// N" slice (one still open at the end as an instant at its start), and
+// the remaining module actions (setup, pivots, arming, release) render
+// as instant markers. Layered over the per-context pipeline tracks this
 // reproduces the paper's Fig. 3 interleaving in the viewer.
 func (m *Module) TraceAnnotations() []trace.Annotation {
 	var out []trace.Annotation
-	replays := map[string]int{} // replay ordinal per recipe
-	openIdx := map[string]int{} // out-index of the recipe's open iteration
+	ws := m.ReplayWindows() // one per EvHandleFault, in timeline order
 	for _, ev := range m.timeline {
-		track := "replayer: " + ev.Recipe
-		va := fmt.Sprintf("%#x", uint64(ev.VA))
-		switch ev.Kind {
-		case EvHandleFault:
-			if i, ok := openIdx[ev.Recipe]; ok {
-				out[i].End = ev.Cycle
-			}
-			replays[ev.Recipe]++
-			out = append(out, trace.Annotation{
-				Track: track,
-				Name:  fmt.Sprintf("replay %d", replays[ev.Recipe]),
-				Start: ev.Cycle,
-				End:   ev.Cycle,
-				Args:  map[string]string{"va": va},
-			})
-			openIdx[ev.Recipe] = len(out) - 1
-		case EvRelease:
-			if i, ok := openIdx[ev.Recipe]; ok {
-				out[i].End = ev.Cycle
-				delete(openIdx, ev.Recipe)
-			}
-			out = append(out, trace.Annotation{
-				Track: track,
-				Name:  ev.Kind.String(),
-				Start: ev.Cycle,
-				End:   ev.Cycle,
-				Args:  map[string]string{"va": va},
-			})
-		default:
-			out = append(out, trace.Annotation{
-				Track: track,
-				Name:  ev.Kind.String(),
-				Start: ev.Cycle,
-				End:   ev.Cycle,
-				Args:  map[string]string{"va": va},
-			})
+		a := trace.Annotation{
+			Track: "replayer: " + ev.Recipe,
+			Name:  ev.Kind.String(),
+			Start: ev.Cycle,
+			End:   ev.Cycle,
+			Args:  map[string]string{"va": fmt.Sprintf("%#x", uint64(ev.VA))},
 		}
+		if ev.Kind == EvHandleFault {
+			w := ws[0]
+			ws = ws[1:]
+			a.Name = fmt.Sprintf("replay %d", w.N)
+			if w.End != ^uint64(0) {
+				a.End = w.End
+			}
+		}
+		out = append(out, a)
 	}
 	return out
 }

@@ -82,11 +82,12 @@ type ReplayWindow struct {
 }
 
 // AttributeReplays stamps every recorded event with the replay
-// iteration whose window covers its cycle. Call after the run, with
-// windows derived from the attack module's timeline (see
-// attack/experiments.ReplayWindows). Later windows win on overlap —
-// nested pivot recipes open inside an outer window, and the innermost
-// (latest-starting) window is the one actually replaying the transmit.
+// iteration whose window covers its cycle. Call after the run, with the
+// windows the attack module derives from its timeline
+// (attack/microscope's Module.ReplayWindows). Later windows win on
+// overlap — nested pivot recipes open inside an outer window, and the
+// innermost (latest-starting) window is the one actually replaying the
+// transmit.
 func (s *Sanitizer) AttributeReplays(ws []ReplayWindow) {
 	for i := range s.events {
 		ev := &s.events[i]
