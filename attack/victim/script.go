@@ -6,14 +6,16 @@ import (
 	"strconv"
 	"strings"
 
+	"microscope/analysis/static"
 	"microscope/sim/isa"
 	"microscope/sim/mem"
 )
 
 // Victim scripts: the textual format for user-defined victims, read by
-// cmd/asmlab for attack exploration and by cmd/mscan's scan, verifier
-// and sanitizer. A script is ISA assembly (see sim/isa.Assemble) plus
-// `;;` directives that declare the memory image and the secrets:
+// `microscope lab` for attack exploration and by cmd/mscan's scan,
+// verifier and sanitizer. A script is ISA assembly (see
+// sim/isa.Assemble) plus `;;` directives that declare the memory image
+// and the secrets:
 //
 //	;; region <name> <addr> <ro|rw> [pages]   data region (default 1 page)
 //	;; init <name>+<off> <value>              64-bit word initializer
@@ -78,6 +80,9 @@ func ParseScript(name, src string) (*Layout, error) {
 			}
 			if pages > PlatformMemBytes/mem.PageSize {
 				return nil, fail("region %s: %d pages exceed the %d MB of physical memory", fields[1], pages, PlatformMemBytes>>20)
+			}
+			if addr+pages*mem.PageSize <= addr { // the end wraps to, or past, 2^64
+				return nil, fail("region %s: %d pages at %#x end past the top of the address space", fields[1], pages, addr)
 			}
 			if _, dup := regions[fields[1]]; dup {
 				return nil, fail("duplicate region %q", fields[1])
@@ -173,6 +178,11 @@ func ParseScript(name, src string) (*Layout, error) {
 	}
 	if prog.Len() == 0 {
 		return nil, fmt.Errorf("victim: script %s has no instructions", name)
+	}
+	// The check the core runs when the program loads, so a script that
+	// cannot run (control that falls off its end, say) fails here.
+	if err := static.Validate(prog); err != nil {
+		return nil, fmt.Errorf("victim: script %s: %w", name, err)
 	}
 	l.Prog = prog
 	if entryLabel != "" {

@@ -39,6 +39,14 @@ const wrapInitScript = ";; region data 0x600000 rw\n;; init data+0xfffffffffffff
 // its end: growing the initializer up to it would exhaust host memory.
 const hugeRegionScript = ";; region data 0x600000 rw 4000000000\n;; init data+0xE8D4A50FF0 1\nnop"
 
+// wrapRegionScript's region ends past 2^64: its mapping would wrap, so
+// Install would map nothing.
+const wrapRegionScript = ";; region r 0xfffffffffffff000 rw 2\nhalt"
+
+// fallOffScript's control runs off the end of the program (no halt), so
+// the core would refuse to load it.
+const fallOffScript = ";; region handle 0x400000 rw\nmovi r1, 0x400000\nld r2, 0(r1)"
+
 func TestParseScript(t *testing.T) {
 	l, err := ParseScript("test", testScript)
 	if err != nil {
@@ -134,6 +142,9 @@ func TestParseScriptErrors(t *testing.T) {
 		// frames (TestInstallScriptFillingMemory in attack/platform).
 		{"region one page past physical memory", ";; region r 0x400000 rw 16350\nnop", "need 16385 physical frames, the platform has 16384"},
 		{"regions that fit alone but not together", ";; region a 0x400000 rw 9000\n;; region b 0x40000000 rw 9000\nnop", "need 18040 physical frames"},
+		{"region ending at 2^64", ";; region r 0xfffffffffffff000 rw 1\nhalt", "region r: 1 pages at 0xfffffffffffff000 end past the top of the address space"},
+		{"region wrapping past 2^64", wrapRegionScript, "region r: 2 pages at 0xfffffffffffff000 end past the top of the address space"},
+		{"control falls off the end", fallOffScript, "victim: script t: static: instr 1 (ld r2, 0(r1)): control falls off the end"},
 	}
 	for _, c := range cases {
 		_, err := ParseScript("t", c.src)
@@ -155,6 +166,7 @@ func TestInstallFrames(t *testing.T) {
 		";; region a 0x400000 rw\n;; region b 0x1000000400000 rw",
 		";; region a 0xfffffffff000 rw 2",
 		";; region a 0x400000 rw\n;; region b 0x8000000000 rw\n;; region c 0x8000200000 rw",
+		";; region a 0xffffffffffffe000 rw", // the last page below 2^64
 	} {
 		l, err := ParseScript("frames", src+"\nhalt")
 		if err != nil {
@@ -170,18 +182,20 @@ func TestInstallFrames(t *testing.T) {
 	}
 }
 
-// FuzzParseScript feeds the victim-script parser, which cmd/asmlab and
-// cmd/mscan run on user files, arbitrary text. ParseScript returns a
-// layout or an error, never both and never a panic, every region it
-// accepts holds its initializer, and every secret it accepts names a
-// region.
+// FuzzParseScript feeds the victim-script parser, which `microscope
+// lab` and cmd/mscan run on user files, arbitrary text. ParseScript
+// returns a layout or an error, never both and never a panic, every
+// region it accepts holds its initializer, every secret it accepts
+// names a region, and every script it accepts runs: its program loads
+// and every page of every region translates once installed.
 func FuzzParseScript(f *testing.F) {
 	example, err := os.ReadFile(filepath.Join("..", "..", "examples", "asmlab", "victim.s"))
 	if err != nil {
 		f.Fatal(err)
 	}
 	secretFirst := ";; secret s\n;; region s 0x400000 rw\n;; secret-reg f15\nnop"
-	for _, seed := range []string{string(example), testScript, wrapInitScript, hugeRegionScript, secretFirst} {
+	for _, seed := range []string{string(example), testScript, wrapInitScript, hugeRegionScript, secretFirst,
+		wrapRegionScript, fallOffScript} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
@@ -199,6 +213,20 @@ func FuzzParseScript(f *testing.F) {
 		}
 		// Every secret names a region, so this cannot panic.
 		l.SecretMems()
+		r := newRig(t)
+		if err := l.Install(r.k, r.proc); err != nil {
+			t.Fatalf("accepted script does not install: %v", err)
+		}
+		for _, reg := range l.Regions {
+			for va := reg.VA; va < reg.VA+reg.Size; va += mem.PageSize {
+				if _, err := r.proc.AddressSpace().Translate(va); err != nil {
+					t.Fatalf("region %s: page %#x does not translate: %v", reg.Name, va, err)
+				}
+			}
+		}
+		if err := r.core.Context(0).LoadProgram(l.Prog, l.Entry); err != nil {
+			t.Fatalf("accepted script does not load: %v", err)
+		}
 	})
 }
 

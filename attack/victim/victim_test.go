@@ -21,7 +21,7 @@ type rig struct {
 
 func newRig(t *testing.T) *rig {
 	t.Helper()
-	phys := mem.NewPhysMem(32 << 20)
+	phys := mem.NewPhysMem(PlatformMemBytes)
 	core := cpu.NewCore(cpu.DefaultConfig(), phys)
 	k := kernel.New(kernel.DefaultConfig(), phys, core)
 	proc, err := k.NewProcess("victim")
