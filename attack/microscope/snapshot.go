@@ -12,7 +12,7 @@ import (
 // log; the core's half is the RDRAND log). Decisions taken by OnReplay
 // callbacks are host code — a snapshot records what they decided, so a
 // restored run can be checked against the original decision for
-// decision (tools/snapdiff), but the callbacks themselves must be
+// decision (`microscope snapdiff`), but the callbacks themselves must be
 // re-bound by the caller after a restore into a fresh module
 // (RecipeState.HasCallback marks which recipes need one).
 

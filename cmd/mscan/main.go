@@ -174,8 +174,8 @@ type input struct {
 }
 
 // load resolves -victim or -script. The handle is -handle if given, else
-// the builtin's convention, else a script's "handle" symbol (asmlab's
-// default too); -prove and -sanitize need the layout to define it.
+// the builtin's convention, else a script's "handle" symbol (`microscope
+// lab`'s default too); -prove and -sanitize need the layout to define it.
 func load(o options) (input, error) {
 	var in input
 	switch {

@@ -298,9 +298,9 @@ func TestRejectsScriptBeyondMemory(t *testing.T) {
 	}
 }
 
-// exampleScript is the victim script asmlab's example runs: a replay
-// handle at pc 4, then a probe-line load at pc 7 whose address the
-// declared secret region selects.
+// exampleScript is the victim script `microscope lab`'s example runs: a
+// replay handle at pc 4, then a probe-line load at pc 7 whose address
+// the declared secret region selects.
 var exampleScript = filepath.Join("..", "..", "examples", "asmlab", "victim.s")
 
 // The example script drives every mode through -script: the scan flags

@@ -1,4 +1,4 @@
-; A scriptable victim for cmd/asmlab and cmd/mscan: a replay handle
+; A scriptable victim for `microscope lab` and cmd/mscan: a replay handle
 ; followed by a secret-dependent probe-line access (the quickstart attack,
 ; in assembly). Lines starting with ';;' are layout directives; ';' starts
 ; a comment.

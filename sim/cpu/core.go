@@ -157,8 +157,8 @@ type Core struct {
 	// Nondeterministic-input record log (see snapshot.go): every RDRAND
 	// draw delivered to software, bounded by rdrandLogCap. The RNG itself
 	// is a deterministic function of rngState, so the log adds no
-	// information to a snapshot — it exists so tools/snapdiff can show
-	// *which* draws two diverging runs disagreed on.
+	// information to a snapshot — it exists so `microscope snapdiff` can
+	// show *which* draws two diverging runs disagreed on.
 	rdrandDraws uint64
 	rdrandLog   []uint64
 }

@@ -181,7 +181,7 @@ func TestCountermeasureStateRidesSnapshots(t *testing.T) {
 
 	// Determinism: two snapshots of identical state must gob-encode
 	// byte-identically (maps are flattened sorted), the property the
-	// golden tests and tools/snapdiff rely on.
+	// golden tests and `microscope snapdiff` rely on.
 	enc := func(s *KernelSnap) []byte {
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(s); err != nil {

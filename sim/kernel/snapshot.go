@@ -11,7 +11,7 @@ import (
 // process, schedule, fault-log and swap tables. Maps are flattened into
 // slices sorted by key so the gob encoding is deterministic (two
 // snapshots of identical state are byte-identical — the property
-// tools/snapdiff and the golden tests rely on).
+// `microscope snapdiff` and the golden tests rely on).
 //
 // Fault hooks are host-side closures and are NOT serialized: after a
 // restore, previously registered hooks remain registered (in-place

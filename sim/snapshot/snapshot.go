@@ -11,8 +11,8 @@
 // continuing past the capture point, proved by the canonical sim/trace
 // TraceHash (see attack/experiments' snapshot tests, which checkpoint
 // attack/platform rigs, and docs/checkpointing.md). Machines are
-// gob-encoded with a leading version; tools/snapdiff decodes two images
-// and diffs them field by field.
+// gob-encoded with a leading version; `microscope snapdiff` decodes two
+// images and diffs them field by field.
 package snapshot
 
 import (
@@ -65,8 +65,9 @@ type TimelineState struct {
 
 // DecisionRecord is one entry of the module's nondeterministic-input
 // record log: the decision taken after one intercepted fault, with the
-// state the callback saw. Comparing two runs' decision logs (snapdiff)
-// pinpoints the first diverging handler decision.
+// state the callback saw. Comparing two runs' decision logs
+// (`microscope snapdiff`) pinpoints the first diverging handler
+// decision.
 type DecisionRecord struct {
 	Cycle       uint64
 	Recipe      string
