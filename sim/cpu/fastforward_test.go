@@ -3,6 +3,7 @@ package cpu
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"testing"
 
 	"microscope/sim/isa"
@@ -120,6 +121,44 @@ func TestFastForwardDividerBusyWakeup(t *testing.T) {
 	}
 	if skipped := ffCompare(t, setup, 200_000); skipped == 0 {
 		t.Error("scenario skipped nothing")
+	}
+}
+
+// TestFastForwardDividerRetryAfterIssue: two independent divides become
+// ready in the same cycle, so one issue pass issues the first and finds
+// the divider busy for the second. Jitter holds the first divide's
+// completion, the next event that wakes the issue scan, far past the
+// cycle the divider frees. The second divide must still issue exactly
+// FDivLat cycles after the first: the pass that issued the first has to
+// fold the divider's free cycle into the context's retry cycle.
+func TestFastForwardDividerRetryAfterIssue(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.JitterPeriod, cfg.JitterExtra = 1, 50
+	r := newRig(t, cfg)
+	var issued []uint64
+	r.core.SetTracer(TracerFunc(func(ev Event) {
+		if ev.Kind == EvIssue && ev.Instr.Op == isa.OpFDiv {
+			issued = append(issued, ev.Cycle)
+		}
+	}))
+	p := isa.NewBuilder().
+		FLoadImm(isa.F0, int64(math.Float64bits(3.0))).
+		FLoadImm(isa.F1, int64(math.Float64bits(1.5))).
+		FAdd(isa.F4, isa.F0, isa.F1).
+		FDiv(isa.F2, isa.F4, isa.F1).
+		FDiv(isa.F3, isa.F4, isa.F1).
+		Halt().MustBuild()
+	r.core.Context(0).SetProgram(p, 0)
+	r.core.Run(10_000)
+	if !r.core.Halted() {
+		t.Fatal("program did not halt")
+	}
+	if len(issued) != 2 {
+		t.Fatalf("saw %d divide issues, want 2", len(issued))
+	}
+	if gap := issued[1] - issued[0]; gap != uint64(cfg.FDivLat) {
+		t.Errorf("divides issued at cycles %d and %d, %d apart; want FDivLat = %d",
+			issued[0], issued[1], gap, cfg.FDivLat)
 	}
 }
 
