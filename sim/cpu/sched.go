@@ -15,9 +15,11 @@ import (
 //     shadow taint) into the consumers and counts down Entry.NPending.
 //   - Per-port-class ready lists hold exactly the dispatched entries
 //     whose operands are all captured, in seq order; the issue stage
-//     merges the list fronts instead of scanning the ROB (structural
-//     failure is class-uniform, so one failed front parks the whole
-//     class).
+//     merges the list fronts instead of scanning the ROB. A list is
+//     parked for the rest of a pass when its front fails (structural
+//     failure is class-uniform), and without a try when its front could
+//     only fail: a timer read that is not the ROB head, or a divide
+//     while the divider is busy.
 //   - Load and store queues hold every in-flight load and store in seq
 //     order, so store-to-load forwarding and the memory-order check
 //     visit memory ops only.
