@@ -29,7 +29,7 @@ type labOptions struct {
 	disasm                       bool
 }
 
-// parseLab parses the arguments after `lab`.
+// parseLab parses and validates the arguments after `lab`.
 func parseLab(args []string, errw io.Writer) (*labOptions, error) {
 	o := &labOptions{}
 	fs := flag.NewFlagSet("lab", flag.ContinueOnError)
@@ -48,8 +48,15 @@ func parseLab(args []string, errw io.Writer) (*labOptions, error) {
 	if err := noArgs("lab", fs.Args()); err != nil {
 		return nil, err
 	}
-	if o.script == "" {
+	switch {
+	case o.script == "":
 		return nil, errors.New("lab: -script is required")
+	case o.lines < 1:
+		return nil, fmt.Errorf("lab: -lines must be >= 1, got %d", o.lines)
+	case o.replays < 1:
+		return nil, fmt.Errorf("lab: -replays must be >= 1, got %d", o.replays)
+	case o.walk < 1 || o.walk > 4:
+		return nil, fmt.Errorf("lab: -walk must be 1-4, got %d", o.walk)
 	}
 	return o, nil
 }

@@ -273,6 +273,13 @@ func TestParseArgsRejectsBadInput(t *testing.T) {
 		checkUsageError(t, argv, argv[:2]...)
 	}
 	checkUsageError(t, []string{"lab"}, "lab", "-script")
+	// lab checks its numeric flags before it reads the script, which
+	// here does not exist.
+	for _, f := range [][2]string{
+		{"-walk", "0"}, {"-walk", "5"}, {"-lines", "0"}, {"-replays", "0"}, {"-replays", "-1"},
+	} {
+		checkUsageError(t, []string{"lab", "-script", "no-such-script.s", f[0], f[1]}, "lab", f[0])
+	}
 }
 
 // Bad flags must exit with a usage error (2) without running the attack.
