@@ -321,7 +321,8 @@ func TestRunFig11Smoke(t *testing.T) {
 // aesattack, pipeview and asmlab commands they replaced printed.
 // testdata holds those commands' stdout. On the example script every
 // replay window shows the secret (3) as the one hot probe line, and the
-// victim finishes after its three faults.
+// victim finishes after its three faults. The metrics_*.golden files pin
+// the `-metrics` block of the four single-core subcommands that print it.
 func TestGoldenOutputs(t *testing.T) {
 	for _, c := range []struct {
 		golden string
@@ -336,6 +337,10 @@ func TestGoldenOutputs(t *testing.T) {
 		{"lab_probe_replays3.golden", []string{"lab", "-script", exampleScript, "-probe", "probe", "-replays", "3"}},
 		{"lab_probe_replays3_lines6.golden", []string{"lab", "-script", exampleScript, "-probe", "probe", "-replays", "3", "-lines", "6"}},
 		{"lab_disasm.golden", []string{"lab", "-script", exampleScript, "-disasm"}},
+		{"metrics_table2.golden", []string{"-metrics", "table2"}},
+		{"metrics_timeline.golden", []string{"-metrics", "timeline"}},
+		{"metrics_execpath.golden", []string{"-metrics", "execpath"}},
+		{"metrics_pipeview.golden", []string{"-metrics", "pipeview"}},
 	} {
 		want, err := os.ReadFile(filepath.Join("testdata", c.golden))
 		if err != nil {
