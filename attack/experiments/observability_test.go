@@ -14,9 +14,9 @@ import (
 )
 
 // runFFObserved mounts the scenario like runFFScenario but with the full
-// observer stack tee'd onto the core: collector, metrics and hasher all
-// see the same stream.
-func runFFObserved(t *testing.T, sc ffScenario) (ffDigest, *trace.Collector, *trace.Metrics, *microscope.Module) {
+// observer stack on the core: the collector, which also counts the
+// metrics, and the hasher see the same stream.
+func runFFObserved(t *testing.T, sc ffScenario) (ffDigest, *trace.Collector, *microscope.Module) {
 	t.Helper()
 	cfg := cpu.DefaultConfig()
 	cfg.JitterPeriod = 901
@@ -59,9 +59,10 @@ func runFFObserved(t *testing.T, sc ffScenario) (ffDigest, *trace.Collector, *tr
 
 	h := trace.NewHasher()
 	col := trace.NewCollector(0)
-	met := trace.NewMetrics()
-	met.ROBSize = cfg.ROBSize
-	rig.Core.SetTracer(trace.Tee(h, col, met))
+	rig.Core.SetTracer(cpu.TracerFunc(func(ev cpu.Event) {
+		h.Trace(ev)
+		col.Trace(ev)
+	}))
 
 	vic.Start(rig.Kernel, 0)
 	if mon != nil {
@@ -76,19 +77,19 @@ func runFFObserved(t *testing.T, sc ffScenario) (ffDigest, *trace.Collector, *tr
 		cycles:    rig.Core.Cycle(),
 		replays:   rec.Replays(),
 	}
-	return d, col, met, rig.Module
+	return d, col, rig.Module
 }
 
 // End-to-end schema check of the observability layer over a full replay
-// attack: collector + metrics + hasher tee'd onto one core, the module
+// attack: collector (with its metrics) and hasher on one core, the module
 // timeline layered in as annotations, and the Chrome export validated
 // against the trace_event schema.
-func runObserved(t *testing.T) (chrome []byte, metricsText string, metricsJSON []byte, hash uint64) {
+func runObserved(t *testing.T) (chrome []byte, metricsText string, hash uint64) {
 	t.Helper()
 	sc := ffScenarios()[0] // controlflow-mul, with an SMT monitor
 
 	// Rebuild runFFScenario's rig but with the full observer stack.
-	d, col, met, mod := runFFObserved(t, sc)
+	d, col, mod := runFFObserved(t, sc)
 	anns := mod.TraceAnnotations()
 	if len(anns) == 0 {
 		t.Fatal("module produced no trace annotations")
@@ -110,26 +111,19 @@ func runObserved(t *testing.T) (chrome []byte, metricsText string, metricsJSON [
 	if err := trace.ValidateChrome(data); err != nil {
 		t.Fatalf("chrome export fails schema validation: %v", err)
 	}
-	js, err := met.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data, met.Text(), js, d.traceHash
+	return data, col.Metrics().Text(cpu.DefaultConfig().ROBSize), d.traceHash
 }
 
 func TestObservabilityEndToEnd(t *testing.T) {
-	chrome1, text1, json1, hash1 := runObserved(t)
-	chrome2, text2, json2, hash2 := runObserved(t)
+	chrome1, text1, hash1 := runObserved(t)
+	chrome2, text2, hash2 := runObserved(t)
 
-	// Byte-determinism across runs: trace, text and JSON renderings.
+	// Byte-determinism across runs: trace and text renderings.
 	if !bytes.Equal(chrome1, chrome2) {
 		t.Error("chrome export differs between identical runs")
 	}
 	if text1 != text2 {
 		t.Errorf("metrics text differs between identical runs:\n%s\nvs\n%s", text1, text2)
-	}
-	if !bytes.Equal(json1, json2) {
-		t.Error("metrics JSON differs between identical runs")
 	}
 	if hash1 != hash2 {
 		t.Errorf("trace hash differs between identical runs: %#x vs %#x", hash1, hash2)

@@ -159,14 +159,13 @@ var flagScope = map[string][]string{
 // attach to a run.
 type observers struct {
 	col *trace.Collector
-	met *trace.Metrics
 	san *sanitizer.Sanitizer
 }
 
 // bootVictim builds a platform, installs l as its victim and attaches
 // the observers the global flags ask for; spans attaches the lifecycle
-// collector even without -trace. With no flag set the core keeps a nil
-// tracer and no shadow, and pays nothing.
+// collector even without -trace or -metrics. With no flag set the core
+// keeps a nil tracer and no shadow, and pays nothing.
 func bootVictim(l *victim.Layout, spans bool) (*platform.Rig, *observers, error) {
 	rig, err := platform.New(cpu.DefaultConfig())
 	if err != nil {
@@ -176,17 +175,16 @@ func bootVictim(l *victim.Layout, spans bool) (*platform.Rig, *observers, error)
 		return nil, nil, err
 	}
 	o := &observers{}
-	var sinks []cpu.Tracer
-	if spans || traceOut != "" {
-		o.col = trace.NewCollector(0)
-		sinks = append(sinks, o.col)
+	if spans || traceOut != "" || showMetrics {
+		// -metrics alone reads only the counters, so its collector keeps
+		// a one-span ring instead of a full one nothing would read.
+		capacity := trace.DefaultCapacity
+		if !spans && traceOut == "" {
+			capacity = 1
+		}
+		o.col = trace.NewCollector(capacity)
+		rig.Core.SetTracer(o.col)
 	}
-	if showMetrics {
-		o.met = trace.NewMetrics()
-		o.met.ROBSize = rig.Core.Config().ROBSize
-		sinks = append(sinks, o.met)
-	}
-	rig.Core.SetTracer(trace.Tee(sinks...))
 	if sanitize {
 		// Seeded from the victim's secret declaration.
 		if o.san, err = experiments.AttachSanitizer(rig, l, sanitizer.DefaultConfig()); err != nil {
@@ -200,19 +198,14 @@ func bootVictim(l *victim.Layout, spans bool) (*platform.Rig, *observers, error)
 // module timeline), writes the Chrome trace under -trace (annotated
 // with the module's replay timeline and the specsan track), and prints
 // the metrics block.
-func (o *observers) finish(out io.Writer, mod *microscope.Module) error {
+func (o *observers) finish(out io.Writer, rig *platform.Rig) error {
 	if o.san != nil {
 		o.san.Flush()
-		if mod != nil {
-			o.san.AttributeReplays(mod.ReplayWindows())
-		}
+		o.san.AttributeReplays(rig.Module.ReplayWindows())
 		printSanitizerFindings(out, o.san)
 	}
 	if traceOut != "" {
-		var anns []trace.Annotation
-		if mod != nil {
-			anns = mod.TraceAnnotations()
-		}
+		anns := rig.Module.TraceAnnotations()
 		if o.san != nil {
 			anns = append(anns, o.san.Annotations()...)
 		}
@@ -229,9 +222,9 @@ func (o *observers) finish(out io.Writer, mod *microscope.Module) error {
 		}
 		fmt.Fprintf(out, "wrote Chrome trace to %s (open in Perfetto or chrome://tracing)\n", traceOut)
 	}
-	if o.met != nil {
+	if showMetrics {
 		fmt.Fprintln(out, "\n-- pipeline metrics --")
-		fmt.Fprint(out, o.met.Text())
+		fmt.Fprint(out, o.col.Metrics().Text(rig.Core.Config().ROBSize))
 	}
 	return nil
 }
@@ -523,7 +516,7 @@ func runTable2(out io.Writer) error {
 	}
 	fmt.Fprintf(out, "-> victim replayed %d times, then released; victim finished: %t\n",
 		u.Recipe().Replays(), rig.Core.Context(0).Halted())
-	if err := obs.finish(out, rig.Module); err != nil {
+	if err := obs.finish(out, rig); err != nil {
 		return err
 	}
 	printStats(out, rig.Core)
@@ -553,7 +546,7 @@ func runTimeline(out io.Writer) error {
 	}
 	fmt.Fprintln(out, "Figure 3 — replayer/victim timeline (cycles are simulated)")
 	fmt.Fprint(out, microscope.FormatTimeline(rig.Module.Timeline()))
-	if err := obs.finish(out, rig.Module); err != nil {
+	if err := obs.finish(out, rig); err != nil {
 		return err
 	}
 	printStats(out, rig.Core)
@@ -713,7 +706,7 @@ func runExecPath(out io.Writer) error {
 	fmt.Fprintln(out, "6. page-fault handler completes")
 	fmt.Fprintf(out, "7. control returns to the application (victim finished: %t)\n",
 		rig.Core.Context(0).Halted())
-	if err := obs.finish(out, rig.Module); err != nil {
+	if err := obs.finish(out, rig); err != nil {
 		return err
 	}
 	printStats(out, rig.Core)

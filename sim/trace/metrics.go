@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -22,31 +21,28 @@ const (
 	numStages
 )
 
-// Metrics aggregates the pipeline event stream into deterministic
-// counters: event and squash counts, cycle-weighted per-stage occupancy
-// (a ROB-utilization integral), per-port issue histograms and the
-// page-walk latency distribution. Rendering (Text/JSON) is byte-stable:
-// same event stream, same bytes, regardless of GOMAXPROCS, sweep worker
-// count or map iteration order — nothing here iterates a map.
+// Metrics is the Collector's aggregate view of the event stream:
+// event and squash counts, cycle-weighted per-stage occupancy (a
+// ROB-utilization integral), per-port issue histograms and the
+// page-walk latency distribution. The Collector counts every event as
+// it arrives, so the counters stay exact when its ring drops spans.
+// Text is byte-stable: same event stream, same bytes, regardless of
+// GOMAXPROCS, sweep worker count or map iteration order — nothing here
+// iterates a map.
 //
 // The occupancy integrals stay exact under fast-forward: skipped cycle
 // ranges have constant in-flight populations by construction, and the
 // integral advances on event timestamps, not per-cycle callbacks.
 type Metrics struct {
-	// ROBSize, when set, adds a utilization percentage to the rendered
-	// ROB occupancy (average occupancy / ROBSize).
-	ROBSize int
-
 	events uint64
-	counts [cpu.EvTxAbort + 1]uint64
+	counts [cpu.NumEventKinds]uint64
 
 	firstCycle uint64
 	lastCycle  uint64
-	started    bool
 
-	// Per-context in-flight population per stage, plus cycle-weighted
-	// occupancy integrals summed across contexts.
-	inflight  [][numStages]int
+	// inflight is the number of open lifecycles in each stage, summed
+	// across contexts; integrals are its cycle-weighted sums.
+	inflight  [numStages]uint64
 	integrals [numStages]uint64
 
 	squashMispredict uint64
@@ -61,113 +57,51 @@ type Metrics struct {
 	walkSum    uint64
 	walkMax    int
 	walkBucket [len(walkBounds) + 1]uint64
-
-	// open tracks the stage of each in-flight seq per context so flushes
-	// decrement the right populations.
-	open [][]openRec
 }
 
-type openRec struct {
-	seq   uint64
-	stage uint8
-}
-
-// NewMetrics returns an empty aggregator.
-func NewMetrics() *Metrics { return &Metrics{} }
-
-// Trace implements cpu.Tracer.
-func (m *Metrics) Trace(ev cpu.Event) {
+// count records one event: its kind, and the cycles since the previous
+// event weighted by the populations that held over them.
+func (m *Metrics) count(ev cpu.Event) {
+	if m.events == 0 {
+		m.firstCycle = ev.Cycle
+		m.lastCycle = ev.Cycle
+	}
 	m.events++
 	if int(ev.Kind) < len(m.counts) {
 		m.counts[ev.Kind]++
 	}
-	if !m.started {
-		m.started = true
-		m.firstCycle = ev.Cycle
-		m.lastCycle = ev.Cycle
-	}
 	if dt := ev.Cycle - m.lastCycle; dt > 0 {
-		for s := 0; s < numStages; s++ {
-			var n uint64
-			for _, ctx := range m.inflight {
-				n += uint64(ctx[s])
-			}
+		for s, n := range m.inflight {
 			m.integrals[s] += dt * n
 		}
 		m.lastCycle = ev.Cycle
 	}
-	for len(m.open) <= ev.Context {
-		m.open = append(m.open, nil)
-		m.inflight = append(m.inflight, [numStages]int{})
-	}
+}
 
-	switch ev.Kind {
-	case cpu.EvFetch:
-		m.open[ev.Context] = append(m.open[ev.Context], openRec{seq: ev.Seq, stage: stageFrontend})
-		m.inflight[ev.Context][stageFrontend]++
-	case cpu.EvIssue:
-		m.advance(ev.Context, ev.Seq, stageExec)
-		m.portIssues[ev.Port]++
-		if ev.Instr.Op.IsLoad() || ev.Instr.Op.IsStore() {
-			if ev.Walk == 0 {
-				m.walkHits++
-			} else {
-				m.recordWalk(ev.Walk)
-			}
-		}
-	case cpu.EvComplete:
-		m.advance(ev.Context, ev.Seq, stageWait)
-	case cpu.EvRetire:
-		m.drop(ev.Context, func(r openRec) bool { return r.seq == ev.Seq })
-	case cpu.EvSquash:
-		switch ev.Detail {
-		case "branch mispredict":
-			m.squashMispredict++
-		case "memory order violation":
-			m.squashMemOrder++
-		case "preempt":
-			m.squashPreempt++
-		default:
-			m.squashOther++
-		}
-		if ev.Seq == 0 {
-			m.drop(ev.Context, func(openRec) bool { return true })
+// issue records an issue's port and, for a memory access, its walk.
+func (m *Metrics) issue(ev cpu.Event) {
+	m.portIssues[ev.Port]++
+	if ev.Instr.Op.IsLoad() || ev.Instr.Op.IsStore() {
+		if ev.Walk == 0 {
+			m.walkHits++
 		} else {
-			m.drop(ev.Context, func(r openRec) bool { return r.seq > ev.Seq })
-		}
-	case cpu.EvFault:
-		if ev.Walk > 0 {
 			m.recordWalk(ev.Walk)
 		}
-		m.drop(ev.Context, func(openRec) bool { return true })
-	case cpu.EvTxAbort:
-		m.drop(ev.Context, func(openRec) bool { return true })
 	}
 }
 
-func (m *Metrics) advance(ctx int, seq uint64, stage uint8) {
-	open := m.open[ctx]
-	for i := range open {
-		if open[i].seq == seq {
-			m.inflight[ctx][open[i].stage]--
-			open[i].stage = stage
-			m.inflight[ctx][stage]++
-			return
-		}
+// squash records a squash under its source.
+func (m *Metrics) squash(detail string) {
+	switch detail {
+	case "branch mispredict":
+		m.squashMispredict++
+	case "memory order violation":
+		m.squashMemOrder++
+	case "preempt":
+		m.squashPreempt++
+	default:
+		m.squashOther++
 	}
-}
-
-func (m *Metrics) drop(ctx int, match func(openRec) bool) {
-	open := m.open[ctx]
-	out := open[:0]
-	for _, r := range open {
-		if match(r) {
-			m.inflight[ctx][r.stage]--
-		} else {
-			out = append(out, r)
-		}
-	}
-	m.open[ctx] = out
 }
 
 func (m *Metrics) recordWalk(walk int) {
@@ -187,7 +121,7 @@ func (m *Metrics) recordWalk(walk int) {
 
 // Cycles is the event-stamped duration covered so far.
 func (m *Metrics) Cycles() uint64 {
-	if !m.started {
+	if m.events == 0 {
 		return 0
 	}
 	return m.lastCycle - m.firstCycle
@@ -211,78 +145,11 @@ func (m *Metrics) avgOccupancy(stage int) float64 {
 	return float64(m.integrals[stage]) / float64(cy)
 }
 
-// metricsJSON fixes the field order of the JSON rendering.
-type metricsJSON struct {
-	Cycles     uint64             `json:"cycles"`
-	Events     uint64             `json:"events"`
-	Fetched    uint64             `json:"fetched"`
-	Issued     uint64             `json:"issued"`
-	Completed  uint64             `json:"completed"`
-	Retired    uint64             `json:"retired"`
-	Squashes   uint64             `json:"squashes"`
-	Faults     uint64             `json:"faults"`
-	TxAborts   uint64             `json:"txAborts"`
-	SquashSrc  map[string]uint64  `json:"squashSources"`
-	Occupancy  map[string]float64 `json:"avgOccupancy"`
-	ROBUtil    float64            `json:"robUtilization,omitempty"`
-	PortIssues map[string]uint64  `json:"portIssues"`
-	TLBHits    uint64             `json:"tlbHits"`
-	Walks      uint64             `json:"pageWalks"`
-	WalkAvg    float64            `json:"pageWalkAvgCycles"`
-	WalkMax    int                `json:"pageWalkMaxCycles"`
-	WalkHist   map[string]uint64  `json:"pageWalkHistogram"`
-}
-
-// JSON renders the metrics as deterministic JSON (encoding/json sorts
-// map keys, and the remaining fields are in a struct).
-func (m *Metrics) JSON() ([]byte, error) {
-	j := metricsJSON{
-		Cycles:    m.Cycles(),
-		Events:    m.events,
-		Fetched:   m.Count(cpu.EvFetch),
-		Issued:    m.Count(cpu.EvIssue),
-		Completed: m.Count(cpu.EvComplete),
-		Retired:   m.Count(cpu.EvRetire),
-		Squashes:  m.Count(cpu.EvSquash),
-		Faults:    m.Count(cpu.EvFault),
-		TxAborts:  m.Count(cpu.EvTxAbort),
-		SquashSrc: map[string]uint64{
-			"mispredict": m.squashMispredict,
-			"memOrder":   m.squashMemOrder,
-			"preempt":    m.squashPreempt,
-			"other":      m.squashOther,
-		},
-		Occupancy: map[string]float64{
-			"frontend":   m.avgOccupancy(stageFrontend),
-			"exec":       m.avgOccupancy(stageExec),
-			"waitRetire": m.avgOccupancy(stageWait),
-		},
-		PortIssues: map[string]uint64{},
-		TLBHits:    m.walkHits,
-		Walks:      m.walkCount,
-		WalkMax:    m.walkMax,
-		WalkHist:   map[string]uint64{},
-	}
-	if m.ROBSize > 0 {
-		total := m.avgOccupancy(stageFrontend) + m.avgOccupancy(stageExec) + m.avgOccupancy(stageWait)
-		j.ROBUtil = total / float64(m.ROBSize)
-	}
-	if m.walkCount > 0 {
-		j.WalkAvg = float64(m.walkSum) / float64(m.walkCount)
-	}
-	for p := pipeline.Port(0); p < pipeline.NumPorts; p++ {
-		j.PortIssues[p.String()] = m.portIssues[p]
-	}
-	for i, b := range walkBounds {
-		j.WalkHist[fmt.Sprintf("<=%03d", b)] = m.walkBucket[i]
-	}
-	j.WalkHist[fmt.Sprintf(">%03d", walkBounds[len(walkBounds)-1])] = m.walkBucket[len(walkBounds)]
-	return json.MarshalIndent(j, "", "  ")
-}
-
-// Text renders a fixed-order human-readable summary. Byte-deterministic:
-// two identical event streams render identically.
-func (m *Metrics) Text() string {
+// Text renders a fixed-order human-readable summary. A positive robSize
+// adds the ROB utilization: the average occupancy over that many
+// entries. Byte-deterministic: two identical event streams render
+// identically.
+func (m *Metrics) Text(robSize int) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "cycles           %d\n", m.Cycles())
 	fmt.Fprintf(&sb, "events           %d\n", m.events)
@@ -296,10 +163,10 @@ func (m *Metrics) Text() string {
 		m.Count(cpu.EvSquash), m.squashMispredict, m.squashMemOrder, m.squashPreempt, m.squashOther)
 	fmt.Fprintf(&sb, "avg occupancy    frontend %.2f  exec %.2f  wait-retire %.2f\n",
 		m.avgOccupancy(stageFrontend), m.avgOccupancy(stageExec), m.avgOccupancy(stageWait))
-	if m.ROBSize > 0 {
+	if robSize > 0 {
 		total := m.avgOccupancy(stageFrontend) + m.avgOccupancy(stageExec) + m.avgOccupancy(stageWait)
 		fmt.Fprintf(&sb, "rob utilization  %.2f%% of %d entries\n",
-			100*total/float64(m.ROBSize), m.ROBSize)
+			100*total/float64(robSize), robSize)
 	}
 	sb.WriteString("port issues     ")
 	for p := pipeline.Port(0); p < pipeline.NumPorts; p++ {

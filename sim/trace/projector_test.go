@@ -66,7 +66,10 @@ func TestProjectorMatchesReference(t *testing.T) {
 		t.Helper()
 		var evs []cpu.Event
 		p.Reset()
-		run(trace.Tee(&p, tracetest.Record(&evs)))
+		run(cpu.TracerFunc(func(ev cpu.Event) {
+			p.Trace(ev)
+			evs = append(evs, ev)
+		}))
 		got, want := p.Projections(), tracetest.Project(evs)
 		if got != want {
 			t.Errorf("%s: Projector %+v, reference %+v", name, got, want)

@@ -3,12 +3,13 @@
 //
 //   - Collector: per-instruction lifecycles (fetch→issue→execute→
 //     retire/squash/fault) in a bounded ring buffer, matched exactly by
-//     dispatch sequence number rather than by PC heuristics;
-//   - Metrics: deterministic aggregate counters — per-stage occupancy,
-//     ROB utilization, squash breakdowns, per-port issue histograms and
-//     the page-walk latency distribution;
+//     dispatch sequence number rather than by PC heuristics, and the
+//     Metrics it counts on the way — per-stage occupancy, ROB
+//     utilization, squash breakdowns, per-port issue histograms and the
+//     page-walk latency distribution;
 //   - Hasher: a stable FNV-1a digest over the canonical event stream, so
-//     a test can assert bit-identical pipeline behaviour in one line.
+//     a test can assert bit-identical pipeline behaviour in one line;
+//   - Projector: the transient-channel digests the verifier compares.
 //
 // Collected lifecycles export to Chrome Trace Event JSON (see chrome.go),
 // loadable in Perfetto or chrome://tracing. Everything here hangs off
@@ -84,17 +85,17 @@ type Mark struct {
 // caller passes a non-positive capacity.
 const DefaultCapacity = 1 << 16
 
-// Collector assembles raw pipeline events into Spans. Closed spans land
-// in a ring buffer of fixed capacity (oldest dropped first), so a
-// collector can stay attached across a multi-million-cycle run without
-// unbounded growth. All matching is by (context, seq): exact, no PC
-// guessing, robust to replayed instructions revisiting the same PC.
+// Collector assembles raw pipeline events into Spans and counts them
+// into its Metrics. Closed spans land in a ring buffer of fixed capacity
+// (oldest dropped first), so a collector can stay attached across a
+// multi-million-cycle run without unbounded growth. All matching is by
+// (context, seq): exact, no PC guessing, robust to replayed
+// instructions revisiting the same PC.
 type Collector struct {
-	spans  ring[Span]
-	marks  ring[Mark]
-	open   [][]Span // per context, ascending Seq (dispatch order)
-	last   uint64   // cycle of the most recent event
-	events uint64
+	spans ring[Span]
+	marks ring[Mark]
+	open  [][]Span // per context, ascending Seq (dispatch order)
+	m     Metrics
 }
 
 // NewCollector builds a collector whose closed-span and mark rings each
@@ -111,8 +112,7 @@ func NewCollector(capacity int) *Collector {
 
 // Trace implements cpu.Tracer.
 func (c *Collector) Trace(ev cpu.Event) {
-	c.events++
-	c.last = ev.Cycle
+	c.m.count(ev)
 	for len(c.open) <= ev.Context {
 		c.open = append(c.open, nil)
 	}
@@ -128,15 +128,21 @@ func (c *Collector) Trace(ev cpu.Event) {
 			Complete: NoCycle,
 			End:      NoCycle,
 		})
+		c.m.inflight[stageFrontend]++
 	case cpu.EvIssue:
+		c.m.issue(ev)
 		if s := c.find(ev.Context, ev.Seq); s != nil {
+			c.m.inflight[s.stage()]--
 			s.Issue = ev.Cycle
 			s.Walk = ev.Walk
 			s.Port = ev.Port
+			c.m.inflight[s.stage()]++
 		}
 	case cpu.EvComplete:
 		if s := c.find(ev.Context, ev.Seq); s != nil {
+			c.m.inflight[s.stage()]--
 			s.Complete = ev.Cycle
+			c.m.inflight[s.stage()]++
 		}
 	case cpu.EvRetire:
 		c.closeMatching(ev.Context, ev.Cycle, FateRetired, "",
@@ -146,6 +152,7 @@ func (c *Collector) Trace(ev cpu.Event) {
 		// strictly younger than the squashing instruction dies — the
 		// mispredicted branch and the violated store themselves survive.
 		c.mark(ev)
+		c.m.squash(ev.Detail)
 		if ev.Seq == 0 {
 			c.closeMatching(ev.Context, ev.Cycle, FateSquashed, ev.Detail,
 				func(*Span) bool { return true })
@@ -158,6 +165,9 @@ func (c *Collector) Trace(ev cpu.Event) {
 		// the faulting instruction closes as Faulted, everything else in
 		// flight as Squashed.
 		c.mark(ev)
+		if ev.Walk > 0 {
+			c.m.recordWalk(ev.Walk)
+		}
 		c.closeMatching(ev.Context, ev.Cycle, FateFaulted, ev.Detail,
 			func(s *Span) bool { return s.Seq == ev.Seq })
 		c.closeMatching(ev.Context, ev.Cycle, FateSquashed, "pipeline flush",
@@ -193,6 +203,18 @@ func (c *Collector) find(ctx int, seq uint64) *Span {
 	return nil
 }
 
+// stage is the pipeline stage of an open span: the last of issue and
+// complete it has reached.
+func (s *Span) stage() int {
+	switch {
+	case s.Complete != NoCycle:
+		return stageWait
+	case s.Issue != NoCycle:
+		return stageExec
+	}
+	return stageFrontend
+}
+
 // closeMatching closes every open span of the context that keep() selects
 // (in ascending Seq order), pushing them into the span ring, and compacts
 // the open list in place.
@@ -201,6 +223,7 @@ func (c *Collector) closeMatching(ctx int, cycle uint64, fate Fate, detail strin
 	out := open[:0]
 	for i := range open {
 		if keep(&open[i]) {
+			c.m.inflight[open[i].stage()]--
 			s := open[i]
 			s.End = cycle
 			s.Fate = fate
@@ -241,10 +264,14 @@ func (c *Collector) DroppedSpans() uint64 {
 }
 
 // Events counts raw pipeline events observed.
-func (c *Collector) Events() uint64 { return c.events }
+func (c *Collector) Events() uint64 { return c.m.events }
 
 // LastCycle is the cycle stamp of the most recent event.
-func (c *Collector) LastCycle() uint64 { return c.last }
+func (c *Collector) LastCycle() uint64 { return c.m.lastCycle }
+
+// Metrics returns the aggregate counters of every event observed since
+// the last Reset. They stay live: the collector keeps counting into them.
+func (c *Collector) Metrics() *Metrics { return &c.m }
 
 // Reset drops all collected state, keeping the configured capacity and
 // every backing arena (the span/mark rings and the per-context open
@@ -255,8 +282,7 @@ func (c *Collector) Reset() {
 	for i := range c.open {
 		c.open[i] = c.open[i][:0]
 	}
-	c.last = 0
-	c.events = 0
+	c.m = Metrics{}
 }
 
 // ring is a fixed-capacity FIFO that drops its oldest entry on overflow.

@@ -238,9 +238,9 @@ func TestHasherStableAndSensitive(t *testing.T) {
 }
 
 func TestMetricsAggregates(t *testing.T) {
-	m := trace.NewMetrics()
-	m.ROBSize = cpu.DefaultConfig().ROBSize
-	core := runCore(t, 1001, true, m)
+	col := trace.NewCollector(0)
+	core := runCore(t, 1001, true, col)
+	m := col.Metrics()
 
 	st := core.Context(0).Stats()
 	if m.Count(cpu.EvFetch) != st.Fetched {
@@ -258,24 +258,33 @@ func TestMetricsAggregates(t *testing.T) {
 }
 
 func TestMetricsRenderingDeterministic(t *testing.T) {
-	render := func() (string, []byte) {
-		m := trace.NewMetrics()
-		m.ROBSize = cpu.DefaultConfig().ROBSize
-		runCore(t, 1002, true, m)
-		text := m.Text()
-		js, err := m.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return text, js
+	render := func() string {
+		col := trace.NewCollector(0)
+		runCore(t, 1002, true, col)
+		return col.Metrics().Text(cpu.DefaultConfig().ROBSize)
 	}
-	t1, j1 := render()
-	t2, j2 := render()
-	if t1 != t2 {
+	if t1, t2 := render(), render(); t1 != t2 {
 		t.Errorf("text rendering not byte-deterministic:\n%s\nvs\n%s", t1, t2)
 	}
-	if !bytes.Equal(j1, j2) {
-		t.Errorf("JSON rendering not byte-deterministic")
+}
+
+// TestMetricsExactWhenRingDrops: the counters do not depend on the
+// spans the ring keeps. A collector whose ring holds 4 spans counts what
+// a full-size one counts, on plain and alias-heavy generated programs.
+func TestMetricsExactWhenRingDrops(t *testing.T) {
+	rob := cpu.DefaultConfig().ROBSize
+	for seed := int64(1); seed <= 8; seed++ {
+		full, small := trace.NewCollector(0), trace.NewCollector(4)
+		runCore(t, seed, seed%2 == 0, cpu.TracerFunc(func(ev cpu.Event) {
+			full.Trace(ev)
+			small.Trace(ev)
+		}))
+		if small.DroppedSpans() == 0 {
+			t.Fatalf("seed %d: the 4-span ring dropped nothing; the check is vacuous", seed)
+		}
+		if got, want := small.Metrics().Text(rob), full.Metrics().Text(rob); got != want {
+			t.Errorf("seed %d: 4-span collector counts\n%s\nfull collector\n%s", seed, got, want)
+		}
 	}
 }
 
@@ -317,22 +326,6 @@ func TestValidateChromeRejectsGarbage(t *testing.T) {
 		if err := trace.ValidateChrome([]byte(c)); err == nil {
 			t.Errorf("ValidateChrome accepted %q", c)
 		}
-	}
-}
-
-func TestTee(t *testing.T) {
-	if tr := trace.Tee(nil, nil); tr != nil {
-		t.Error("Tee of nils must be nil")
-	}
-	h := trace.NewHasher()
-	if tr := trace.Tee(nil, h); tr != cpu.Tracer(h) {
-		t.Error("Tee with one live sink must return it unwrapped")
-	}
-	h2 := trace.NewHasher()
-	tee := trace.Tee(h, h2)
-	runCore(t, 5, false, tee)
-	if h.Sum64() != h2.Sum64() || h.Events() == 0 {
-		t.Error("tee did not fan events out to both sinks")
 	}
 }
 
