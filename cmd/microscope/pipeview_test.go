@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"io"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -115,14 +117,31 @@ func TestBudgetGrowsWithReplays(t *testing.T) {
 	}
 }
 
-// TestPipeviewCheckFlags: a -replays below 1 is a usage error naming the
-// flag, rejected before anything runs; -replays 1 is accepted.
+// TestPipeviewCheckFlags: a -replays below 1, or above the spans the
+// collector's ring holds, is a usage error naming the flag, rejected
+// before anything runs; 1 and the ring's capacity are accepted.
 func TestPipeviewCheckFlags(t *testing.T) {
-	for _, n := range []string{"0", "-1"} {
+	for _, n := range []string{"0", "-1", strconv.Itoa(trace.DefaultCapacity + 1)} {
 		checkUsageError(t, []string{"pipeview", "-replays", n}, "pipeview", "-replays")
 	}
-	o, err := parsePipeview([]string{"-replays", "1"}, io.Discard)
-	if err != nil || o.replays != 1 {
-		t.Errorf("parsePipeview(-replays 1) = %+v, %v; want replays 1", o, err)
+	for _, n := range []int{1, trace.DefaultCapacity} {
+		o, err := parsePipeview([]string{"-replays", strconv.Itoa(n)}, io.Discard)
+		if err != nil || o.replays != n {
+			t.Errorf("parsePipeview(-replays %d) = %+v, %v; want replays %d", n, o, err, n)
+		}
+	}
+}
+
+// TestPipeviewFailsWhenRingDrops: 12,000 replay windows close more spans
+// than the collector's ring holds, so the oldest windows would print
+// empty. The run fails instead, with one stderr line naming how many
+// spans were dropped, and prints no window.
+func TestPipeviewFailsWhenRingDrops(t *testing.T) {
+	var out, errw bytes.Buffer
+	code := run([]string{"pipeview", "-replays", "12000"}, &out, &errw)
+	if msg := errw.String(); code != 1 || out.Len() != 0 || strings.Count(msg, "\n") != 1 ||
+		!strings.Contains(msg, "dropped") {
+		t.Errorf("exit code %d, stdout %d bytes, stderr %q; want 1, none and one line naming the dropped spans",
+			code, out.Len(), msg)
 	}
 }
