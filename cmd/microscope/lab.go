@@ -29,6 +29,11 @@ type labOptions struct {
 	disasm                       bool
 }
 
+// maxLines bounds -lines by the platform's physical memory counted in
+// 64-byte lines: a probe cannot watch more lines than exist, and run
+// builds one address per line before the first prime could fail.
+const maxLines = victim.PlatformMemBytes / 64
+
 // parseLab parses and validates the arguments after `lab`.
 func parseLab(args []string, errw io.Writer) (*labOptions, error) {
 	o := &labOptions{}
@@ -51,8 +56,8 @@ func parseLab(args []string, errw io.Writer) (*labOptions, error) {
 	switch {
 	case o.script == "":
 		return nil, errors.New("lab: -script is required")
-	case o.lines < 1:
-		return nil, fmt.Errorf("lab: -lines must be >= 1, got %d", o.lines)
+	case o.lines < 1 || o.lines > maxLines:
+		return nil, fmt.Errorf("lab: -lines must be 1-%d, got %d", maxLines, o.lines)
 	case o.replays < 1:
 		return nil, fmt.Errorf("lab: -replays must be >= 1, got %d", o.replays)
 	case o.walk < 1 || o.walk > 4:

@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -46,6 +48,19 @@ func TestLabRunFailures(t *testing.T) {
 		if msg := errw.String(); code != 1 || strings.Count(msg, "\n") != 1 || !strings.Contains(msg, c.want) {
 			t.Errorf("%q: exit code %d, stderr %q; want 1 and one line naming %q", c.argv, code, msg, c.want)
 		}
+	}
+}
+
+// TestLabLinesBoundedByMemory: -lines above the platform's physical
+// memory counted in 64-byte lines is a usage error found at parse,
+// before run builds one probe address per line. On the example script
+// 2,000,000 lines would otherwise run and fail at the first prime.
+func TestLabLinesBoundedByMemory(t *testing.T) {
+	checkUsageError(t, []string{"lab", "-script", exampleScript, "-probe", "probe", "-lines", "2000000"},
+		"lab", "-lines")
+	o, err := parseLab([]string{"-script", exampleScript, "-lines", strconv.Itoa(maxLines)}, io.Discard)
+	if err != nil || o.lines != maxLines {
+		t.Errorf("parseLab(-lines %d) = %+v, %v; want it accepted", maxLines, o, err)
 	}
 }
 
