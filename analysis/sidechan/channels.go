@@ -123,6 +123,40 @@ var opChannels = map[isa.Op]Channel{
 // total over defined ops and defaults to ChanNone for undefined ones.
 func OpChannel(op isa.Op) Channel { return opChannels[op] }
 
+// Transmit classifies an instruction by the taint of its inputs as it
+// executes: the channel its footprint transmits over, whether the flow
+// is implicit (control dependence only), and whether it transmits at
+// all. The static pass (analysis/static) and SpecSan (sim/sanitizer)
+// both call it, so a static and a dynamic finding at one PC carry the
+// same channel label. addrT is the taint of a memory op's address
+// operand, dataT the union over the data operands, ctrlT the
+// control-dependence taint, and taintRdrand whether every RDRAND draw
+// counts as secret.
+//
+// An explicit flow transmits over the op's channel: an RDRAND draw under
+// taintRdrand, a memory op on a tainted address, a divide on a tainted
+// operand. Under control taint alone, any op with a channel transmits
+// implicitly: its footprint shows which side of a secret branch ran. A
+// divide shows that by occupying the non-pipelined divider, so an
+// implicit FP divide transmits over the port, not through its latency.
+func Transmit(op isa.Op, addrT, dataT, ctrlT, taintRdrand bool) (ch Channel, implicit, ok bool) {
+	ch = opChannels[op]
+	switch {
+	case ch == ChanNone:
+		return ChanNone, false, false
+	case ch == ChanRandom && taintRdrand,
+		ch == ChanCacheSet && addrT,
+		(ch == ChanPort || ch == ChanLatency) && dataT:
+		return ch, false, true
+	case ctrlT:
+		if ch == ChanLatency {
+			ch = ChanPort
+		}
+		return ch, true, true
+	}
+	return ChanNone, false, false
+}
+
 // OpChannelDeclared reports whether op has an explicit entry in the
 // taxonomy (as opposed to falling through to the ChanNone default).
 func OpChannelDeclared(op isa.Op) bool {

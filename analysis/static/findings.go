@@ -69,42 +69,49 @@ func shadow(g *CFG, ti *taintInfo, window int) (handle, dist []int) {
 }
 
 // classify decides whether shadowed instruction i leaks, and over which
-// channel. The channel labels follow the analysis/sidechan taxonomy and
-// mirror the dynamic attacks: cache-set (AES T-tables, §6.2), latency
-// (FP subnormal, Fig. 5), port contention (Fig. 6), random-replay
-// (RDRAND bias, §7.2).
+// channel (sidechan.Transmit), and gives the finding its severity and
+// reason. The channel labels mirror the dynamic attacks: cache-set (AES
+// T-tables, §6.2), latency (FP subnormal, Fig. 5), port contention
+// (Fig. 6), random-replay (RDRAND bias, §7.2).
 func classify(p *isa.Program, i int, ti *taintInfo) (sidechan.Channel, Severity, string, bool) {
 	in := p.Instrs[i]
 	st := ti.in[i]
 	ta, tb := st.tainted(in.Rs1), st.tainted(in.Rs2)
-	switch {
-	case in.Op == isa.OpRdrand && ti.cfg.TaintRdrand:
-		return sidechan.ChanRandom, SevHigh,
-			"RDRAND draw is re-executed on every replay: the attacker observes each value transiently and squashes until one suits (integrity bias)", true
-	case in.Op.IsMem() && ta:
-		return sidechan.ChanCacheSet, SevHigh,
-			"memory address derived from secret data selects a cache set the attacker probes", true
-	case in.Op == isa.OpFDiv && (ta || tb):
-		return sidechan.ChanLatency, SevHigh,
-			"FP divide on a secret-derived operand: the subnormal microcode assist leaks through latency", true
-	case in.Op == isa.OpDiv && (ta || tb):
-		return sidechan.ChanPort, SevMedium,
-			"integer divide on a secret-derived operand occupies the non-pipelined divider", true
-	case ti.ctrl[i]:
-		switch {
-		case in.Op == isa.OpDiv || in.Op == isa.OpFDiv:
-			return sidechan.ChanPort, SevMedium,
-				"divide executes on only one side of a secret-dependent branch; divider-port contention reveals the side", true
-		case in.Op.IsMem():
-			return sidechan.ChanCacheSet, SevMedium,
-				"memory access guarded by a secret-dependent branch; its cache footprint reveals the branch", true
-		case in.Op == isa.OpRdrand:
-			return sidechan.ChanRandom, SevMedium,
-				"RDRAND guarded by a secret-dependent branch", true
-		}
+	ch, implicit, ok := sidechan.Transmit(in.Op, ta, ta || tb, ti.ctrl[i], ti.cfg.TaintRdrand)
+	if !ok {
+		return sidechan.ChanNone, SevLow, "", false
 	}
-	return sidechan.ChanNone, SevLow, "", false
+	v := explicitVerdicts[ch]
+	if implicit {
+		v = implicitVerdicts[ch]
+	}
+	return ch, v.sev, v.reason, true
 }
+
+// verdict is the severity and reason a finding reports.
+type verdict struct {
+	sev    Severity
+	reason string
+}
+
+// explicitVerdicts and implicitVerdicts give a transmit its verdict by
+// channel. An explicit flow leaks the secret's value; an implicit one
+// leaks only which side of a secret branch ran, and sidechan.Transmit
+// reports no implicit latency flow.
+var (
+	explicitVerdicts = [sidechan.NumChannels]verdict{
+		sidechan.ChanCacheSet: {SevHigh, "memory address derived from secret data selects a cache set the attacker probes"},
+		sidechan.ChanPort:     {SevMedium, "integer divide on a secret-derived operand occupies the non-pipelined divider"},
+		sidechan.ChanLatency:  {SevHigh, "FP divide on a secret-derived operand: the subnormal microcode assist leaks through latency"},
+		sidechan.ChanRandom: {SevHigh,
+			"RDRAND draw is re-executed on every replay: the attacker observes each value transiently and squashes until one suits (integrity bias)"},
+	}
+	implicitVerdicts = [sidechan.NumChannels]verdict{
+		sidechan.ChanCacheSet: {SevMedium, "memory access guarded by a secret-dependent branch; its cache footprint reveals the branch"},
+		sidechan.ChanPort:     {SevMedium, "divide executes on only one side of a secret-dependent branch; divider-port contention reveals the side"},
+		sidechan.ChanRandom:   {SevMedium, "RDRAND guarded by a secret-dependent branch"},
+	}
+)
 
 // findings runs the shadow walk and the classifier over the whole
 // program. It returns every transmit point, and the findings: the

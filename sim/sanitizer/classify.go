@@ -1,60 +1,14 @@
 package sanitizer
 
 import (
-	"fmt"
-
 	"microscope/analysis/sidechan"
-	"microscope/sim/cpu"
 	"microscope/sim/isa"
 )
 
-// TransmitChannel is SpecSan's channel classifier: given an op and the
-// taint disposition of its inputs at issue, it returns the sidechan
-// channel the instruction transmits over, whether the flow is implicit
-// (control-dependence only), and whether it transmits at all.
-//
-// The decision table deliberately mirrors analysis/static's classify
-// case for case, so a dynamic finding and a static finding at the same
-// PC carry the same channel label and the three-way reconciliation can
-// match them structurally:
-//
-//	rdrand (TaintRdrand)        -> random-replay
-//	mem, tainted address        -> cache-set
-//	fdiv, tainted operand       -> latency
-//	div, tainted operand        -> port-contention
-//	ctrl-dependent div/fdiv     -> port-contention (implicit)
-//	ctrl-dependent mem          -> cache-set (implicit)
-//	ctrl-dependent rdrand       -> random-replay (implicit)
-//
-// addrT is the taint of the address operand (mem ops only), dataT the
-// union over data operands, ctrlT the control-dependence taint.
-func TransmitChannel(op isa.Op, addrT, dataT, ctrlT bool, taintRdrand bool) (ch sidechan.Channel, implicit, ok bool) {
-	switch {
-	case op == isa.OpRdrand && taintRdrand:
-		return sidechan.ChanRandom, false, true
-	case op.IsMem() && addrT:
-		return sidechan.ChanCacheSet, false, true
-	case op == isa.OpFDiv && dataT:
-		return sidechan.ChanLatency, false, true
-	case op == isa.OpDiv && dataT:
-		return sidechan.ChanPort, false, true
-	case ctrlT:
-		switch {
-		case op == isa.OpDiv || op == isa.OpFDiv:
-			return sidechan.ChanPort, true, true
-		case op.IsMem():
-			return sidechan.ChanCacheSet, true, true
-		case op == isa.OpRdrand:
-			return sidechan.ChanRandom, true, true
-		}
-	}
-	return sidechan.ChanNone, false, false
-}
-
 // secondaryChannel returns the additional channel op transmits over
 // given its primary classification. A ctrl-guarded FP divide occupies
-// the non-pipelined divider (the primary port-contention class,
-// mirroring static's classifier) AND carries the subnormal-latency
+// the non-pipelined divider (the primary port-contention class
+// sidechan.Transmit gives it) AND carries the subnormal-latency
 // signature of whichever branch side executed — the paper's Fig. 5 and
 // Fig. 6 observables coincide on one instruction, and the verifier's
 // witness runs genuinely diverge on the latency projection. The
@@ -65,81 +19,4 @@ func secondaryChannel(op isa.Op, primary sidechan.Channel) (sidechan.Channel, bo
 		return sidechan.ChanLatency, true
 	}
 	return sidechan.ChanNone, false
-}
-
-// OpTransmits reports whether op can ever transmit under any taint
-// disposition — i.e. whether any TransmitChannel input combination
-// classifies it off ChanNone. The totality test checks this agrees
-// with the sidechan taxonomy for every defined op.
-func OpTransmits(op isa.Op, taintRdrand bool) bool {
-	for _, addrT := range []bool{false, true} {
-		for _, dataT := range []bool{false, true} {
-			for _, ctrlT := range []bool{false, true} {
-				if _, _, ok := TransmitChannel(op, addrT, dataT, ctrlT, taintRdrand); ok {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
-// Role classifies a cpu tracer event kind by what it tells the
-// sanitizer, making SpecSan's treatment of the event taxonomy total:
-// every cpu.EventKind has exactly one role, and the totality test
-// fails to compile-time-sized exhaustion if a new kind appears without
-// a classification.
-type Role int
-
-// Event-kind roles.
-const (
-	// RoleLifecycle: the event marks pipeline progress with no
-	// microarchitectural footprint of its own (fetch, complete).
-	RoleLifecycle Role = iota
-	// RoleFootprint: the event is where an instruction's observable
-	// footprint lands in the machine (issue picks ports and cache sets;
-	// a fault pins the page-walk/replay footprint).
-	RoleFootprint
-	// RoleDisposition: the event fixes whether the footprint was
-	// architectural or transient (retire, squash).
-	RoleDisposition
-	// RoleModule: the event is attack-module machinery observed for
-	// replay attribution (transaction abort).
-	RoleModule
-)
-
-// String returns the role label.
-func (r Role) String() string {
-	switch r {
-	case RoleLifecycle:
-		return "lifecycle"
-	case RoleFootprint:
-		return "footprint"
-	case RoleDisposition:
-		return "disposition"
-	case RoleModule:
-		return "module"
-	}
-	return fmt.Sprintf("role(%d)", int(r))
-}
-
-// eventRoles is the total EventKind -> Role map. The totality test
-// asserts every kind in cpu.NumEventKinds is listed explicitly.
-var eventRoles = map[cpu.EventKind]Role{
-	cpu.EvFetch:    RoleLifecycle,
-	cpu.EvIssue:    RoleFootprint,
-	cpu.EvComplete: RoleLifecycle,
-	cpu.EvRetire:   RoleDisposition,
-	cpu.EvSquash:   RoleDisposition,
-	cpu.EvFault:    RoleFootprint,
-	cpu.EvTxAbort:  RoleModule,
-}
-
-// EventKindRole returns the sanitizer's role for a tracer event kind.
-func EventKindRole(k cpu.EventKind) Role { return eventRoles[k] }
-
-// EventKindDeclared reports whether k has an explicit role entry.
-func EventKindDeclared(k cpu.EventKind) bool {
-	_, ok := eventRoles[k]
-	return ok
 }

@@ -506,7 +506,7 @@ func (s *Sanitizer) taintRegion(ctx *cpu.Context, b *pipeline.Entry, t uint64) {
 		st := s.stat(id, y.PC)
 		st.Tainted |= t
 		data := y.SrcShadow[0] | y.SrcShadow[1]
-		ch, implicit, ok := TransmitChannel(y.Instr.Op, y.SrcShadow[0] != 0, data != 0, true, s.cfg.TaintRdrand)
+		ch, implicit, ok := sidechan.Transmit(y.Instr.Op, y.SrcShadow[0] != 0, data != 0, true, s.cfg.TaintRdrand)
 		if ok && implicit {
 			s.emit(id, y, ch, true, t)
 		}
@@ -517,7 +517,7 @@ func (s *Sanitizer) taintRegion(ctx *cpu.Context, b *pipeline.Entry, t uint64) {
 // and emits a transmit event when its footprint is secret-dependent.
 func (s *Sanitizer) checkTransmit(ctx *cpu.Context, e *pipeline.Entry, data, ctrl uint64) {
 	op := e.Instr.Op
-	ch, implicit, ok := TransmitChannel(op, e.SrcShadow[0] != 0, data != 0, ctrl != 0, s.cfg.TaintRdrand)
+	ch, implicit, ok := sidechan.Transmit(op, e.SrcShadow[0] != 0, data != 0, ctrl != 0, s.cfg.TaintRdrand)
 	if !ok {
 		return
 	}

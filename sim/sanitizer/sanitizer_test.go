@@ -16,76 +16,6 @@ import (
 	"microscope/sim/trace"
 )
 
-// --- taxonomy totality -------------------------------------------------
-
-// Every defined ISA op must be classified by SpecSan in agreement with
-// the sidechan taxonomy: ops the taxonomy marks as channel-bearing must
-// transmit under some taint disposition, ops marked ChanNone must never
-// transmit explicitly, and the explicit channel must be the taxonomy's.
-// New ops cannot silently bypass the sanitizer: they would fail
-// OpChannelDeclared here (and the sidechan totality test) first.
-func TestTransmitChannelTotalOverOps(t *testing.T) {
-	for op := isa.Op(0); int(op) < isa.OpCount; op++ {
-		if !sidechan.OpChannelDeclared(op) {
-			t.Errorf("%s: op missing from sidechan taxonomy", op)
-			continue
-		}
-		taxo := sidechan.OpChannel(op)
-		transmits := sanitizer.OpTransmits(op, true)
-		if got, want := transmits, taxo != sidechan.ChanNone; got != want {
-			t.Errorf("%s: OpTransmits=%v but taxonomy channel is %s", op, got, taxo)
-		}
-		// Explicit (data-taint) classification must match the taxonomy
-		// channel exactly.
-		ch, implicit, ok := sanitizer.TransmitChannel(op, true, true, false, true)
-		if ok {
-			if implicit {
-				t.Errorf("%s: data-tainted classification marked implicit", op)
-			}
-			if ch != taxo {
-				t.Errorf("%s: explicit channel %s, taxonomy says %s", op, ch, taxo)
-			}
-		} else if taxo != sidechan.ChanNone && op != isa.OpRdrand {
-			// Every channel-bearing op except rdrand (whose trigger is the
-			// draw itself, not operand taint) must fire on tainted operands.
-			t.Errorf("%s: taxonomy channel %s but no explicit classification", op, taxo)
-		}
-	}
-}
-
-// With TaintRdrand off, rdrand must still be flagged when control-
-// dependent on a secret, mirroring static classify's ctrl case.
-func TestTransmitChannelRdrandModes(t *testing.T) {
-	if ch, _, ok := sanitizer.TransmitChannel(isa.OpRdrand, false, false, false, false); ok {
-		t.Errorf("untainted rdrand with TaintRdrand=false classified as %s", ch)
-	}
-	ch, implicit, ok := sanitizer.TransmitChannel(isa.OpRdrand, false, false, true, false)
-	if !ok || !implicit || ch != sidechan.ChanRandom {
-		t.Errorf("ctrl-dependent rdrand: got (%s, implicit=%v, ok=%v), want (random-replay, true, true)", ch, implicit, ok)
-	}
-}
-
-// Every cpu tracer event kind must have an explicit sanitizer role.
-func TestEventKindRolesTotal(t *testing.T) {
-	for k := cpu.EventKind(0); int(k) < cpu.NumEventKinds; k++ {
-		if !sanitizer.EventKindDeclared(k) {
-			t.Errorf("event kind %s has no sanitizer role", k)
-		}
-	}
-	roles := map[sanitizer.Role]bool{}
-	for k := cpu.EventKind(0); int(k) < cpu.NumEventKinds; k++ {
-		roles[sanitizer.EventKindRole(k)] = true
-	}
-	for _, r := range []sanitizer.Role{
-		sanitizer.RoleLifecycle, sanitizer.RoleFootprint,
-		sanitizer.RoleDisposition, sanitizer.RoleModule,
-	} {
-		if !roles[r] {
-			t.Errorf("no event kind carries role %s", r)
-		}
-	}
-}
-
 // --- propagation -------------------------------------------------------
 
 // buildCore assembles a single-context core over a fresh data space.

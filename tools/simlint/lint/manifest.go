@@ -19,7 +19,6 @@ package lint
 var enumManifest = map[string]bool{
 	"microscope/analysis/sidechan.Channel":    true,
 	"microscope/sim/sanitizer.ReconcileClass": true,
-	"microscope/sim/sanitizer.Role":           true,
 	"microscope/analysis/verify.Verdict":      true,
 	"microscope/sim/cpu.EventKind":            true,
 	"microscope/sim/trace.Fate":               true,
