@@ -34,12 +34,6 @@ func (m *Module) logDecision(r *Recipe, onPivot bool, d Decision) {
 	}
 }
 
-// DecisionLog returns the recorded handler decisions (up to an internal
-// cap) and the total number of decisions taken.
-func (m *Module) DecisionLog() ([]snapshot.DecisionRecord, uint64) {
-	return m.decisions, m.decisionCount
-}
-
 // Recipes returns the installed recipes in installation order.
 func (m *Module) Recipes() []*Recipe { return m.recipes }
 

@@ -78,15 +78,6 @@ func init() {
 	}
 }
 
-// SBox returns the forward S-box.
-func SBox() [256]byte { return sbox }
-
-// InvSBox returns the inverse S-box.
-func InvSBox() [256]byte { return sboxI }
-
-// Te returns encryption table i (0..3).
-func Te(i int) [256]uint32 { return te[i] }
-
 // Td returns decryption table i (0..3) — the tables whose cache lines the
 // paper's Fig. 11 probes.
 func Td(i int) [256]uint32 { return td[i] }

@@ -193,6 +193,3 @@ func (c *Cache) SetOf(pa uint64) int {
 
 // Stats returns cumulative hit/miss counts.
 func (c *Cache) Stats() (hits, misses uint64) { return c.hits, c.misses }
-
-// ResetStats zeroes the counters.
-func (c *Cache) ResetStats() { c.hits, c.misses = 0, 0 }

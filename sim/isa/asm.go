@@ -21,7 +21,7 @@ import (
 func Assemble(src string) (*Program, error) { return TryAssemble(src) }
 
 // TryAssemble is the error-returning assembler entry point. Unlike
-// MustAssemble (and Builder.MustBuild), it never panics, and it reports
+// Builder.MustBuild, it never panics, and it reports
 // *every* failure — parse errors, duplicate or undefined labels, and
 // instruction-validation errors — with the 1-based source line it
 // originates from, so front ends like cmd/mscan can point at the
@@ -84,15 +84,6 @@ func TryAssemble(src string) (*Program, error) {
 		}
 	}
 	return nil, err
-}
-
-// MustAssemble is Assemble, panicking on error.
-func MustAssemble(src string) *Program {
-	p, err := Assemble(src)
-	if err != nil {
-		panic(err)
-	}
-	return p
 }
 
 func stripComment(s string) string {
