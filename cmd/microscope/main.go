@@ -176,13 +176,7 @@ func bootVictim(l *victim.Layout, spans bool) (*platform.Rig, *observers, error)
 	}
 	o := &observers{}
 	if spans || traceOut != "" || showMetrics {
-		// -metrics alone reads only the counters, so its collector keeps
-		// a one-span ring instead of a full one nothing would read.
-		capacity := trace.DefaultCapacity
-		if !spans && traceOut == "" {
-			capacity = 1
-		}
-		o.col = trace.NewCollector(capacity)
+		o.col = trace.NewCollector(trace.DefaultCapacity)
 		rig.Core.SetTracer(o.col)
 	}
 	if sanitize {

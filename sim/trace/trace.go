@@ -286,10 +286,11 @@ func (c *Collector) Reset() {
 }
 
 // ring is a fixed-capacity FIFO that drops its oldest entry on overflow.
-// Its backing array is an arena: allocated at full capacity on the first
-// push and then reused forever — growing a 64K-entry ring by append
-// doubling would reallocate and copy the whole buffer at every power of
-// two, and that cost lands on the simulation's per-event hot path.
+// Its backing array is an arena that grows as entries arrive, doubling
+// up to the capacity and never past it, so a short run holds only what
+// it recorded rather than a whole 64K-entry ring. The doubling's copies
+// total fewer than the entries pushed, and once the arena has grown —
+// full, or kept across Reset — a push allocates nothing.
 type ring[T any] struct {
 	cap   int
 	buf   []T
@@ -300,8 +301,10 @@ type ring[T any] struct {
 func (r *ring[T]) push(v T) {
 	r.total++
 	if len(r.buf) < r.cap {
-		if r.buf == nil {
-			r.buf = make([]T, 0, r.cap)
+		if len(r.buf) == cap(r.buf) {
+			buf := make([]T, len(r.buf), min(max(2*len(r.buf), 64), r.cap))
+			copy(buf, r.buf)
+			r.buf = buf
 		}
 		r.buf = append(r.buf, v)
 		return

@@ -423,10 +423,10 @@ func benchRun(b *testing.B, tr cpu.Tracer) {
 }
 
 // TestCollectorSteadyStateZeroAlloc pins the arena property of the
-// Collector's rings: once the span/mark arenas exist and the per-context
-// open list has grown to its working size, a steady fetch/retire stream
-// allocates nothing per event — no append-doubling of the 64K rings on
-// the simulation hot path, and Reset must hand the arenas back intact.
+// Collector's rings: once the span/mark arenas have grown to the ring
+// capacity and the per-context open list to its working size, a steady
+// fetch/retire stream allocates nothing per event, and Reset must hand
+// the arenas back intact.
 func TestCollectorSteadyStateZeroAlloc(t *testing.T) {
 	c := trace.NewCollector(256)
 	seq := uint64(0)
