@@ -104,19 +104,14 @@ func RunFig10WithCore(cfg Fig10Config, tweak func(*cpu.Config)) (*Fig10Result, e
 	return assembleFig10(cfg, sides[0], sides[1]), nil
 }
 
-// assembleFig10 calibrates the threshold from the quiet side and
-// classifies both sides into the full result.
+// assembleFig10 classifies both sides into the full result, with the
+// threshold calibrated on the quiet (mul) side.
 func assembleFig10(cfg Fig10Config, mul, div Fig10Side) *Fig10Result {
-	res := &Fig10Result{Config: cfg, Mul: mul, Div: div}
-	res.Threshold = sidechan.CalibrateThreshold(mul.Samples, cfg.Quantile, cfg.Guard)
-	res.MulOver = sidechan.Classify(mul.Samples, res.Threshold).Over
-	res.DivOver = sidechan.Classify(div.Samples, res.Threshold).Over
-	den := res.MulOver
-	if den == 0 {
-		den = 1
+	d := sidechan.Distinguish(mul.Samples, div.Samples, cfg.Quantile, cfg.Guard)
+	return &Fig10Result{
+		Config: cfg, Mul: mul, Div: div,
+		Threshold: d.Threshold, MulOver: d.OverA, DivOver: d.OverB, SeparationX: d.Separation,
 	}
-	res.SeparationX = float64(res.DivOver) / float64(den)
-	return res
 }
 
 // SecretDetected reports the attack's verdict: the victim executed the

@@ -88,10 +88,9 @@ func RunSubnormal(samples int) (*SubnormalResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("subnormal victim: %w", err)
 	}
-	res := &SubnormalResult{NormalSamples: normal, SubnormalSamples: sub}
-	res.Threshold = sidechan.CalibrateThreshold(normal, 0.99, 8)
-	res.NormalOver = sidechan.Classify(normal, res.Threshold).Over
-	res.SubnormalOver = sidechan.Classify(sub, res.Threshold).Over
+	d := sidechan.Distinguish(normal, sub, 0.99, 8)
+	res := &SubnormalResult{NormalSamples: normal, SubnormalSamples: sub,
+		Threshold: d.Threshold, NormalOver: d.OverA, SubnormalOver: d.OverB}
 	for _, s := range normal {
 		if s > res.MaxNormal {
 			res.MaxNormal = s
