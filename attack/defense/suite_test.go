@@ -44,23 +44,31 @@ func leakVictim(line int64) *victim.Layout {
 // victim hardening, kernel hooks — and l, hardened by d, installed.
 func defended(t *testing.T, d defense.Defense, l *victim.Layout) (*platform.Rig, *victim.Layout) {
 	t.Helper()
-	cfg := cpu.DefaultConfig()
-	d.Configure(&cfg)
-	rig, err := platform.New(cfg)
+	cfg, hardened, err := d.Prepare(cpu.DefaultConfig(), l)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hardened, err := d.Harden(l)
+	rig, err := platform.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := rig.InstallVictim(hardened); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Install(rig.Kernel, rig.Victim); err != nil {
+	if err := d.Apply(rig, cfg); err != nil {
 		t.Fatal(err)
 	}
 	return rig, hardened
+}
+
+// find returns the roster defense with the given name.
+func find(t *testing.T, name string) defense.Defense {
+	t.Helper()
+	d, ok := defense.Find(name)
+	if !ok {
+		t.Fatalf("defense %q not in roster", name)
+	}
+	return d
 }
 
 // prober flushes the cache line at va and returns a sampler reporting
@@ -121,7 +129,7 @@ func runCanonicalAttack(t *testing.T, d defense.Defense, replays int, latency ui
 	if err := rig.Run(100_000_000); err != nil {
 		t.Fatal(err)
 	}
-	res.verdict = d.Verdict(rig.Kernel, rig.Core, rig.Victim, 0)
+	res.verdict = d.Judge(rig)
 	return res
 }
 
@@ -160,11 +168,7 @@ func TestDefenseRosterVsCanonicalReplay(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			d := defense.Find(tc.name)
-			if d == nil {
-				t.Fatalf("defense %q not in roster", tc.name)
-			}
-			res := runCanonicalAttack(t, d, replays, 2_500)
+			res := runCanonicalAttack(t, find(t, tc.name), replays, 2_500)
 			if res.verdict.Detected != tc.detect {
 				t.Errorf("Detected = %v, want %v (counters %v)",
 					res.verdict.Detected, tc.detect, res.verdict.Counters)
@@ -184,13 +188,13 @@ func TestDefenseRosterVsCanonicalReplay(t *testing.T) {
 // may report a detection (the tournament's false-positive gate).
 func TestDefenseRosterSilentOnConstantTime(t *testing.T) {
 	for _, d := range defense.All() {
-		t.Run(d.Name(), func(t *testing.T) {
+		t.Run(d.Name, func(t *testing.T) {
 			rig, hardened := defended(t, d, victim.ConstantTime())
 			hardened.Start(rig.Kernel, 0)
 			if err := rig.Run(50_000_000); err != nil {
 				t.Fatal(err)
 			}
-			if v := d.Verdict(rig.Kernel, rig.Core, rig.Victim, 0); v.Detected {
+			if v := d.Judge(rig); v.Detected {
 				t.Errorf("false positive on benign run (counters %v)", v.Counters)
 			}
 		})
@@ -203,12 +207,12 @@ func TestDefenseRosterSilentOnConstantTime(t *testing.T) {
 // latency never accumulates a burst. Both must stay silent against an
 // attack their default configurations catch.
 func TestDefenseEpochReset(t *testing.T) {
-	res := runCanonicalAttack(t, &defense.JamaisVu{Threshold: 6, Epoch: 200}, 8, 2_500)
+	res := runCanonicalAttack(t, defense.JamaisVu(6, 200), 8, 2_500)
 	if res.verdict.Detected {
 		t.Errorf("jamaisvu: epoch-cleared counters still alarmed (counters %v)", res.verdict.Counters)
 	}
 	res = runCanonicalAttack(t,
-		&defense.Leash{Config: kernel.LeashConfig{Window: 900, Faults: 4, Penalty: 10_000}},
+		defense.Leash(kernel.LeashConfig{Window: 900, Faults: 4, Penalty: 10_000}),
 		8, 2_500)
 	if res.verdict.Detected {
 		t.Errorf("leash: burst outside the window still tripped (counters %v)", res.verdict.Counters)
@@ -262,12 +266,12 @@ func benignCyclesUnder(t *testing.T, d defense.Defense) uint64 {
 // reports the exact permille figures; this test just keeps a regression
 // from making a defense pathologically expensive.
 func TestDefenseRosterBoundedOverhead(t *testing.T) {
-	base := benignCyclesUnder(t, defense.Find("none"))
+	base := benignCyclesUnder(t, find(t, "none"))
 	if base == 0 {
 		t.Fatal("baseline ran in zero cycles")
 	}
 	for _, d := range defense.All() {
-		t.Run(d.Name(), func(t *testing.T) {
+		t.Run(d.Name, func(t *testing.T) {
 			cycles := benignCyclesUnder(t, d)
 			permille := (int64(cycles) - int64(base)) * 1000 / int64(base)
 			t.Logf("overhead: %d permille (%d -> %d cycles)", permille, base, cycles)
@@ -283,17 +287,17 @@ func TestDefenseRosterBoundedOverhead(t *testing.T) {
 func TestRosterNamesUniqueAndFindable(t *testing.T) {
 	seen := map[string]bool{}
 	for _, d := range defense.All() {
-		n := d.Name()
+		n := d.Name
 		if seen[n] {
 			t.Errorf("duplicate defense name %q", n)
 		}
 		seen[n] = true
-		if defense.Find(n) == nil {
-			t.Errorf("Find(%q) = nil", n)
+		if f, ok := defense.Find(n); !ok || f.Name != n {
+			t.Errorf("Find(%q) = %q, %v", n, f.Name, ok)
 		}
 	}
-	if defense.Find("nonesuch") != nil {
-		t.Error("Find(nonesuch) should be nil")
+	if _, ok := defense.Find("nonesuch"); ok {
+		t.Error("Find(nonesuch) should fail")
 	}
 }
 
@@ -308,7 +312,7 @@ func TestTSGXSmallBudget(t *testing.T) { checkTSGX(t, 3) }
 
 func checkTSGX(t *testing.T, budget int) {
 	t.Helper()
-	d := &defense.TSGX{Budget: budget}
+	d := defense.TSGX(budget)
 	rig, hardened := defended(t, d, leakVictim(0))
 	if _, err := rig.Victim.AddressSpace().SetPresent(handleVA, false); err != nil {
 		t.Fatal(err)
@@ -335,7 +339,7 @@ func checkTSGX(t *testing.T, budget int) {
 		t.Errorf("OS saw %d faults; T-SGX must hide them", n)
 	}
 	// The handle stays armed, so only the exhausted budget ends the run.
-	if aborts != uint64(budget) || !d.Verdict(rig.Kernel, rig.Core, rig.Victim, 0).Detected {
+	if aborts != uint64(budget) || !d.Judge(rig).Detected {
 		t.Errorf("halted after %d aborts; want termination and detection at the budget %d", aborts, budget)
 	}
 	if leaks < budget-1 {
@@ -347,7 +351,7 @@ func checkTSGX(t *testing.T, budget int) {
 // handler blow a budget that tolerates one ordinary demand fault — but
 // only after the windows have leaked.
 func TestDejaVuDetectsNaiveReplay(t *testing.T) {
-	res := runCanonicalAttack(t, &defense.DejaVu{StallBudget: 10_000}, 5, 5_000)
+	res := runCanonicalAttack(t, defense.DejaVu(10_000), 5, 5_000)
 	if !res.verdict.Detected {
 		t.Errorf("5 replays at 5000-cycle handler not detected (counters %v)", res.verdict.Counters)
 	}
@@ -360,7 +364,7 @@ func TestDejaVuDetectsNaiveReplay(t *testing.T) {
 // must tolerate for ordinary faults. Two fast replays fit under it and
 // still leak.
 func TestDejaVuEvadedByMaskedReplays(t *testing.T) {
-	res := runCanonicalAttack(t, &defense.DejaVu{StallBudget: 10_000}, 2, 1_200)
+	res := runCanonicalAttack(t, defense.DejaVu(10_000), 2, 1_200)
 	if res.verdict.Detected {
 		t.Errorf("masked replays detected (counters %v)", res.verdict.Counters)
 	}
@@ -382,7 +386,7 @@ func TestPFObliviousnessHelpsTheAttacker(t *testing.T) {
 	origLen := len(leakVictim(0).Prog.Instrs)
 	for secret := int64(0); secret <= 1; secret++ {
 		// Lines 1 and 2 carry the secret: the preface touches line 0.
-		rig, hardened := defended(t, defense.PFOblivious{}, leakVictim(1+secret))
+		rig, hardened := defended(t, find(t, "pfoblivious"), leakVictim(1+secret))
 		hot := [2]func() bool{prober(t, rig, probeVA+64), prober(t, rig, probeVA+128)}
 		firstFault := -1
 		rig.Core.SetTracer(cpu.TracerFunc(func(ev cpu.Event) {
@@ -425,13 +429,13 @@ func TestPFObliviousnessHelpsTheAttacker(t *testing.T) {
 // may leak, but every replay window after a flush is fenced — at the
 // cost of serializing the benign workload's mispredict flushes too.
 func TestFenceAfterFlushBlocksReplayWindows(t *testing.T) {
-	if res := runCanonicalAttack(t, defense.Find("none"), 5, 2_500); res.leaky < 4 {
+	if res := runCanonicalAttack(t, find(t, "none"), 5, 2_500); res.leaky < 4 {
 		t.Fatalf("baseline leaked in only %d windows; experiment broken", res.leaky)
 	}
-	if res := runCanonicalAttack(t, defense.Fence{}, 5, 2_500); res.leaky > 1 {
+	if res := runCanonicalAttack(t, find(t, "fence"), 5, 2_500); res.leaky > 1 {
 		t.Errorf("fence-after-flush left %d leaky windows, want <= 1", res.leaky)
 	}
-	base, fenced := benignCyclesUnder(t, defense.Find("none")), benignCyclesUnder(t, defense.Fence{})
+	base, fenced := benignCyclesUnder(t, find(t, "none")), benignCyclesUnder(t, find(t, "fence"))
 	if fenced <= base {
 		t.Errorf("no overhead measured: %d vs %d cycles", fenced, base)
 	}
@@ -441,17 +445,16 @@ func TestFenceAfterFlushBlocksReplayWindows(t *testing.T) {
 // contention — "these protections do not address side channels on the
 // other shared processor resources".
 func TestInvisibleSpeculationPartialCoverage(t *testing.T) {
-	if res := runCanonicalAttack(t, defense.Find("none"), 5, 2_500); res.leaky == 0 {
+	if res := runCanonicalAttack(t, find(t, "none"), 5, 2_500); res.leaky == 0 {
 		t.Fatal("baseline cache attack leaked nothing; experiment broken")
 	}
-	if res := runCanonicalAttack(t, defense.InvisiSpec{}, 5, 2_500); res.leaky != 0 {
+	if res := runCanonicalAttack(t, find(t, "invisispec"), 5, 2_500); res.leaky != 0 {
 		t.Errorf("invisible speculation left %d leaky cache windows", res.leaky)
 	}
 	m, err := experiments.RunTournament(experiments.TournamentOptions{
 		Workers:  1,
 		Victims:  []string{"singlesecret"},
 		Defenses: []string{"invisispec"},
-		Handles:  []string{"pagefault"},
 	})
 	if err != nil {
 		t.Fatal(err)

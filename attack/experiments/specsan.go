@@ -26,16 +26,18 @@ import (
 // NOT data-depend on (dependent work never issues under the handle's
 // fault): aes arms its pre-loop stack slot rather than the key schedule,
 // singlesecret its count page. cmd/mscan's -victim table delegates here
-// so the CLI, the cross-validation tests and the fuzz corpus agree on
-// one set of targets.
+// so the CLI, the cross-validation tests, the fuzz corpus and the
+// defense tournament agree on one set of targets.
 type SanTarget struct {
 	Name   string
 	Handle string
 	Build  func() (*victim.Layout, error)
+	// probe is the channel the tournament's attacker samples.
+	probe probe
 }
 
 // SanTargets returns every built-in victim with its replay-handle
-// symbol.
+// symbol and its tournament probe.
 func SanTargets() []SanTarget {
 	return []SanTarget{
 		{"aes", "stack", func() (*victim.Layout, error) {
@@ -44,29 +46,29 @@ func SanTargets() []SanTarget {
 				return nil, err
 			}
 			return v.Layout, nil
-		}},
+		}, probe{probeCache, "td0"}},
 		{"modexp", "handle", func() (*victim.Layout, error) {
 			v, err := victim.NewModExpVictim(5, 0xb, 97, 4)
 			if err != nil {
 				return nil, err
 			}
 			return v.Layout, nil
-		}},
+		}, probe{probeCache, "probe"}},
 		{"singlesecret", "count", func() (*victim.Layout, error) {
 			return victim.SingleSecret(3, true), nil
-		}},
+		}, probe{kind: probePort}},
 		{"controlflow", "handle", func() (*victim.Layout, error) {
 			return victim.ControlFlowSecret(true), nil
-		}},
+		}, probe{kind: probePort}},
 		{"loopsecret", "handle", func() (*victim.Layout, error) {
 			return victim.LoopSecret([]byte{3, 1, 4, 1, 5}), nil
-		}},
+		}, probe{probeCache, "probe"}},
 		{"rdrand", "handle", func() (*victim.Layout, error) {
 			return victim.RdrandBias(), nil
-		}},
+		}, probe{probeCache, "array"}},
 		{"ctcontrol", "handle", func() (*victim.Layout, error) {
 			return victim.ConstantTime(), nil
-		}},
+		}, probe{kind: probeNone}},
 	}
 }
 

@@ -13,6 +13,7 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 
 	"microscope/analysis/sweep"
@@ -54,42 +55,14 @@ const (
 	probePort                   // divider-port occupancy deltas
 )
 
-// tournVictim is one tournament victim: a SanTarget plus the probe the
-// attacker uses against it.
-type tournVictim struct {
-	SanTarget
-	probe    probeKind
-	probeSym string
-}
-
-// tournamentVictims pairs every built-in victim with its channel:
-// cache-probed victims transmit through a known probe page, port-probed
-// victims through divider occupancy, and the constant-time control
-// through nothing at all.
-func tournamentVictims() []tournVictim {
-	specs := map[string]struct {
-		kind probeKind
-		sym  string
-	}{
-		"aes":          {probeCache, "td0"},
-		"modexp":       {probeCache, "probe"},
-		"singlesecret": {probePort, ""},
-		"controlflow":  {probePort, ""},
-		"loopsecret":   {probeCache, "probe"},
-		"rdrand":       {probeCache, "array"},
-		"ctcontrol":    {probeNone, ""},
-	}
-	var out []tournVictim
-	for _, t := range SanTargets() {
-		s, ok := specs[t.Name]
-		if !ok {
-			// A new SanTarget without a probe spec still competes; the
-			// attacker just measures nothing until a spec is added.
-			s.kind = probeNone
-		}
-		out = append(out, tournVictim{SanTarget: t, probe: s.kind, probeSym: s.sym})
-	}
-	return out
+// probe is the channel the tournament's attacker samples against one
+// victim, declared in its SanTargets entry: cache-probed victims
+// transmit through the page at a layout symbol, port-probed victims
+// through divider occupancy, and the constant-time control through
+// nothing at all.
+type probe struct {
+	kind probeKind
+	sym  string // probeCache: the probe page's layout symbol
 }
 
 // TournamentOptions configures RunTournament.
@@ -97,12 +70,42 @@ type TournamentOptions struct {
 	// Workers is the sweep worker count (<= 0: GOMAXPROCS). The matrix
 	// bytes never depend on it.
 	Workers int
-	// Victims/Defenses/Handles, when non-empty, restrict the roster to
-	// the named entries (matrix order is preserved). Unknown names are
-	// an error.
+	// Victims/Defenses, when non-empty, restrict the roster to the
+	// named entries; the matrix lists them in the order given. Unknown
+	// names are an error.
 	Victims  []string
 	Defenses []string
-	Handles  []string
+}
+
+// rosters picks the victims and defenses opt names.
+func (opt TournamentOptions) rosters() ([]SanTarget, []defense.Defense, error) {
+	victims, err := pick("victim", SanTargets(), func(t SanTarget) string { return t.Name }, opt.Victims)
+	if err != nil {
+		return nil, nil, err
+	}
+	defenses, err := pick("defense", defense.All(), func(d defense.Defense) string { return d.Name }, opt.Defenses)
+	if err != nil {
+		return nil, nil, err
+	}
+	return victims, defenses, nil
+}
+
+// pick returns the entries of roster with the given names, in the
+// order given, or the whole roster when names is empty. An unknown
+// name is an error naming the roster.
+func pick[T any](what string, roster []T, name func(T) string, names []string) ([]T, error) {
+	if len(names) == 0 {
+		return roster, nil
+	}
+	out := make([]T, 0, len(names))
+	for _, n := range names {
+		i := slices.IndexFunc(roster, func(t T) bool { return name(t) == n })
+		if i < 0 {
+			return nil, fmt.Errorf("tournament: unknown %s %q", what, n)
+		}
+		out = append(out, roster[i])
+	}
+	return out, nil
 }
 
 // TournamentCell is one (victim, handle, defense) attack run.
@@ -246,25 +249,17 @@ type tournTrial struct {
 
 // RunTournament runs the full cross-product and assembles the matrix.
 func RunTournament(opt TournamentOptions) (*TournamentMatrix, error) {
-	victims, err := pickVictims(opt.Victims)
+	victims, defenses, err := opt.rosters()
 	if err != nil {
 		return nil, err
 	}
-	defenses, err := pickDefenses(opt.Defenses)
-	if err != nil {
-		return nil, err
-	}
-	handles, err := pickHandles(opt.Handles)
-	if err != nil {
-		return nil, err
-	}
-	return runTournamentMatrix(victims, defenses, handles, cpu.DefaultConfig(), opt.Workers)
+	return runTournamentMatrix(victims, defenses, cpu.DefaultConfig(), opt.Workers)
 }
 
 // runTournamentMatrix is the roster-agnostic engine behind
 // RunTournament; the fuzz harness feeds it mutant victims directly.
-func runTournamentMatrix(victims []tournVictim, defenses []defense.Defense,
-	handles []string, baseCfg cpu.Config, workers int) (*TournamentMatrix, error) {
+func runTournamentMatrix(victims []SanTarget, defenses []defense.Defense,
+	baseCfg cpu.Config, workers int) (*TournamentMatrix, error) {
 	// One warm checkpoint per victim: build, boot, install, capture.
 	// Every trial forks from here, so the 64 MB platform boots once per
 	// victim plus once per concurrent worker, not once per cell.
@@ -288,6 +283,7 @@ func runTournamentMatrix(victims []tournVictim, defenses []defense.Defense,
 		warms[i] = tournWarm{lay: lay, cp: cp, pool: newRigPool(cp, rig)}
 	}
 
+	handles := TournamentHandles()
 	trials := len(victims) * len(defenses)
 	results, err := sweep.Run(trials, sweep.Options{Workers: workers},
 		func(trial int) (tournTrial, error) {
@@ -305,7 +301,7 @@ func runTournamentMatrix(victims []tournVictim, defenses []defense.Defense,
 	}
 	m.Handles = handles
 	for _, d := range defenses {
-		m.Defenses = append(m.Defenses, d.Name())
+		m.Defenses = append(m.Defenses, d.Name)
 	}
 	for _, r := range results {
 		m.Cells = append(m.Cells, r.cells...)
@@ -364,65 +360,6 @@ func runTournamentMatrix(victims []tournVictim, defenses []defense.Defense,
 	return m, nil
 }
 
-func pickVictims(names []string) ([]tournVictim, error) {
-	all := tournamentVictims()
-	if len(names) == 0 {
-		return all, nil
-	}
-	var out []tournVictim
-	for _, n := range names {
-		found := false
-		for _, v := range all {
-			if v.Name == n {
-				out = append(out, v)
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("tournament: unknown victim %q", n)
-		}
-	}
-	return out, nil
-}
-
-func pickDefenses(names []string) ([]defense.Defense, error) {
-	if len(names) == 0 {
-		return defense.All(), nil
-	}
-	var out []defense.Defense
-	for _, n := range names {
-		d := defense.Find(n)
-		if d == nil {
-			return nil, fmt.Errorf("tournament: unknown defense %q", n)
-		}
-		out = append(out, d)
-	}
-	return out, nil
-}
-
-func pickHandles(names []string) ([]string, error) {
-	all := TournamentHandles()
-	if len(names) == 0 {
-		return all, nil
-	}
-	var out []string
-	for _, n := range names {
-		found := false
-		for _, h := range all {
-			if h == n {
-				out = append(out, n)
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("tournament: unknown handle %q", n)
-		}
-	}
-	return out, nil
-}
-
 // tournWarm is one victim's warm state: its layout, the checkpoint of a
 // rig with the layout installed, and the pool of rigs forked from it.
 // Trials share the layout read-only; a defense that hardens it returns
@@ -437,44 +374,31 @@ type tournWarm struct {
 // cell per handle class, all on a single pooled rig restored to the
 // victim's checkpoint between runs.
 func runTournTrial(w tournWarm, baseCfg cpu.Config,
-	v tournVictim, d defense.Defense, handles []string) (tournTrial, error) {
+	v SanTarget, d defense.Defense, handles []string) (tournTrial, error) {
 	rig, err := w.pool.get() // arrives restored to w.cp
 	if err != nil {
 		return tournTrial{}, err
 	}
 	defer w.pool.put(rig)
 
-	cfg := baseCfg
-	d.Configure(&cfg)
-	hardened, err := d.Harden(w.lay)
+	cfg, hardened, err := d.Prepare(baseCfg, w.lay)
 	if err != nil {
-		return tournTrial{}, fmt.Errorf("tournament: harden %s/%s: %w", v.Name, d.Name(), err)
-	}
-
-	// prep applies the defense to the (just restored) rig. Restores do
-	// not clear host-side countermeasure wiring, so reset explicitly.
-	prep := func() error {
-		if err := rig.Core.UpdateTiming(cfg); err != nil {
-			return err
-		}
-		rig.Kernel.ResetCountermeasures()
-		return d.Install(rig.Kernel, rig.Victim)
+		return tournTrial{}, fmt.Errorf("tournament: harden %s/%s: %w", v.Name, d.Name, err)
 	}
 
 	var out tournTrial
-	if err := prep(); err != nil {
+	if err := d.Apply(rig, cfg); err != nil {
 		return out, err
 	}
 	start := rig.Core.Cycle()
 	hardened.Start(rig.Kernel, 0)
 	if err := rig.Run(tournMaxCycles); err != nil {
-		return out, fmt.Errorf("tournament: control %s/%s: %w", v.Name, d.Name(), err)
+		return out, fmt.Errorf("tournament: control %s/%s: %w", v.Name, d.Name, err)
 	}
-	verdict := d.Verdict(rig.Kernel, rig.Core, rig.Victim, 0)
 	out.control = TournamentControl{
 		Victim:        v.Name,
-		Defense:       d.Name(),
-		FalsePositive: verdict.Detected,
+		Defense:       d.Name,
+		FalsePositive: d.Judge(rig).Detected,
 		Cycles:        rig.Core.Cycle() - start,
 	}
 
@@ -482,18 +406,18 @@ func runTournTrial(w tournWarm, baseCfg cpu.Config,
 		if err := rig.Restore(w.cp); err != nil {
 			return out, err
 		}
-		if err := prep(); err != nil {
+		if err := d.Apply(rig, cfg); err != nil {
 			return out, err
 		}
 		res, err := driveHandle(rig, v, hardened, h)
 		if err != nil {
-			return out, fmt.Errorf("tournament: %s/%s/%s: %w", v.Name, h, d.Name(), err)
+			return out, fmt.Errorf("tournament: %s/%s/%s: %w", v.Name, h, d.Name, err)
 		}
-		verdict := d.Verdict(rig.Kernel, rig.Core, rig.Victim, 0)
+		verdict := d.Judge(rig)
 		out.cells = append(out.cells, TournamentCell{
 			Victim:      v.Name,
 			Handle:      h,
-			Defense:     d.Name(),
+			Defense:     d.Name,
 			Mounted:     res.mounted,
 			Replays:     res.replays,
 			LeakWindows: res.leaky,
@@ -515,11 +439,11 @@ type prober struct {
 
 // newProber sets the channel up cold: cache probes translate and flush
 // every line of the probe page; port probes latch the divider counter.
-func newProber(rig *platform.Rig, v tournVictim, lay *victim.Layout) (*prober, error) {
-	p := &prober{kind: v.probe, core: rig.Core}
-	switch v.probe {
+func newProber(rig *platform.Rig, v SanTarget, lay *victim.Layout) (*prober, error) {
+	p := &prober{kind: v.probe.kind, core: rig.Core}
+	switch v.probe.kind {
 	case probeCache:
-		base := lay.Sym(v.probeSym)
+		base := lay.Sym(v.probe.sym)
 		for off := mem.Addr(0); off < mem.PageSize; off += 64 {
 			pa, err := rig.Victim.AddressSpace().Translate(base + off)
 			if err != nil {
@@ -565,7 +489,7 @@ type driveResult struct {
 	cycles  uint64
 }
 
-func driveHandle(rig *platform.Rig, v tournVictim, hardened *victim.Layout, handle string) (driveResult, error) {
+func driveHandle(rig *platform.Rig, v SanTarget, hardened *victim.Layout, handle string) (driveResult, error) {
 	switch handle {
 	case "pagefault":
 		return driveRecipe(rig, v, hardened, false)
@@ -585,7 +509,7 @@ func driveHandle(rig *platform.Rig, v tournVictim, hardened *victim.Layout, hand
 // tournSelectiveLeaks windows have leaked — few enough faults to duck
 // the default detector budgets — with a backstop when the defense
 // starves the probe.
-func driveRecipe(rig *platform.Rig, v tournVictim, hardened *victim.Layout, selective bool) (driveResult, error) {
+func driveRecipe(rig *platform.Rig, v SanTarget, hardened *victim.Layout, selective bool) (driveResult, error) {
 	pb, err := newProber(rig, v, hardened)
 	if err != nil {
 		return driveResult{}, err
@@ -628,7 +552,7 @@ func driveRecipe(rig *platform.Rig, v tournVictim, hardened *victim.Layout, sele
 // become aborts the kernel never sees, and each abort-retry is a
 // replay window observed passively. The wrap falls back to untracked
 // execution after its budget so the victim always finishes.
-func driveTSX(rig *platform.Rig, v tournVictim, hardened *victim.Layout) (driveResult, error) {
+func driveTSX(rig *platform.Rig, v SanTarget, hardened *victim.Layout) (driveResult, error) {
 	wrapped, err := victim.WrapTx(hardened, int64(tournBackstopReplays+24), false)
 	if err != nil {
 		return driveResult{}, err
@@ -680,7 +604,7 @@ func driveTSX(rig *platform.Rig, v tournVictim, hardened *victim.Layout) (driveR
 // replay window with no fault for any fault-centric defense to see.
 // Victims without conditional branches cannot be attacked this way;
 // the cell runs unmounted.
-func driveMispredict(rig *platform.Rig, v tournVictim, hardened *victim.Layout) (driveResult, error) {
+func driveMispredict(rig *platform.Rig, v SanTarget, hardened *victim.Layout) (driveResult, error) {
 	var branches []int
 	for i, in := range hardened.Prog.Instrs {
 		if in.Op.IsCondBranch() {

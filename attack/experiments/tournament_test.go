@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -92,6 +93,31 @@ func TestTournamentShape(t *testing.T) {
 					t.Fatalf("missing cell %s/%s/%s", v, h, d)
 				}
 			}
+		}
+	}
+
+	// A restricted roster lists its picks in the order given, not the
+	// roster's, and an unknown name fails naming the roster and the name.
+	for _, tc := range []struct {
+		opt TournamentOptions
+		err string
+	}{
+		{TournamentOptions{Victims: []string{"loopsecret", "singlesecret"}, Defenses: []string{"fence", "none"}}, ""},
+		{TournamentOptions{Victims: []string{"loopsecret", "nonesuch"}}, `unknown victim "nonesuch"`},
+		{TournamentOptions{Defenses: []string{"none", "nonesuch"}}, `unknown defense "nonesuch"`},
+	} {
+		got, err := RunTournament(tc.opt)
+		if tc.err != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.err) {
+				t.Errorf("%+v: err = %v, want %s", tc.opt, err, tc.err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%+v: %v", tc.opt, err)
+		}
+		if !slices.Equal(got.Victims, tc.opt.Victims) || !slices.Equal(got.Defenses, tc.opt.Defenses) {
+			t.Errorf("%+v: matrix lists victims %v and defenses %v", tc.opt, got.Victims, got.Defenses)
 		}
 	}
 }
@@ -319,11 +345,10 @@ func breakRelease(t testing.TB, rig *platform.Rig, rec *microscope.Recipe) {
 // and the release fails; the TSX drive reaches that fault once the
 // wrap's abort budget runs out and the victim runs untracked.
 func TestDrivesReportHandlerFailure(t *testing.T) {
-	vs, err := pickVictims([]string{"loopsecret"})
+	v, err := FindSanTarget("loopsecret")
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := vs[0]
 	for _, h := range []string{"tsxabort", "mispredict"} {
 		lay, err := v.Build()
 		if err != nil {
@@ -364,18 +389,13 @@ func tournSubset() TournamentOptions {
 // fast-forward setting and worker count and returns its JSON.
 func tournSubsetJSON(t *testing.T, fastForward bool, workers int) []byte {
 	t.Helper()
-	opt := tournSubset()
-	victims, err := pickVictims(opt.Victims)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defenses, err := pickDefenses(opt.Defenses)
+	victims, defenses, err := tournSubset().rosters()
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := cpu.DefaultConfig()
 	cfg.FastForward = fastForward
-	m, err := runTournamentMatrix(victims, defenses, TournamentHandles(), cfg, workers)
+	m, err := runTournamentMatrix(victims, defenses, cfg, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,24 +424,6 @@ func TestTournamentFastForwardInvariance(t *testing.T) {
 	}
 }
 
-// defenseHookCfgs are the per-defense core-config tweaks that reach
-// into the cycle engine; each must preserve the fast-forward
-// equivalence contract.
-func defenseHookCfgs() []struct {
-	name  string
-	tweak func(*cpu.Config)
-} {
-	return []struct {
-		name  string
-		tweak func(*cpu.Config)
-	}{
-		{"jamaisvu", func(c *cpu.Config) { c.SquashThreshold = 6; c.SquashEpoch = 1_000_000 }},
-		{"delay", func(c *cpu.Config) { c.DelaySpeculative = true }},
-		{"fence", func(c *cpu.Config) { c.FenceAfterFlush = true }},
-		{"invisispec", func(c *cpu.Config) { c.InvisibleSpeculation = true }},
-	}
-}
-
 // ffDefenseScenarios is the differential subset: a loop victim, a
 // divider victim (delay interacts with the FP port) and the RNG victim
 // (per-window state advance).
@@ -437,20 +439,24 @@ func ffDefenseScenarios() []ffScenario {
 }
 
 // TestDefenseHooksFastForwardEquivalence extends the fast-forward
-// differential to every defense config hook: skip-on and skip-off runs
-// must stay observationally identical with the hook active.
+// differential to every roster defense's core hook, the hooks that
+// reach into the cycle engine: skip-on and skip-off runs must stay
+// observationally identical with the hook active.
 func TestDefenseHooksFastForwardEquivalence(t *testing.T) {
-	for _, dc := range defenseHookCfgs() {
-		dc := dc
+	for _, d := range defense.All() {
+		if d.Core == nil {
+			continue
+		}
+		d := d
 		for _, sc := range ffDefenseScenarios() {
 			sc := sc
-			t.Run(dc.name+"/"+sc.name, func(t *testing.T) {
+			t.Run(d.Name+"/"+sc.name, func(t *testing.T) {
 				t.Parallel()
 				onCfg := ffJitterConfig()
-				dc.tweak(&onCfg)
+				d.Core(&onCfg)
 				onCfg.FastForward = true
 				offCfg := ffJitterConfig()
-				dc.tweak(&offCfg)
+				d.Core(&offCfg)
 				offCfg.FastForward = false
 				on := runFFScenario(t, sc, onCfg)
 				off := runFFScenario(t, sc, offCfg)
@@ -461,28 +467,27 @@ func TestDefenseHooksFastForwardEquivalence(t *testing.T) {
 }
 
 // mutantTournVictim adapts a fuzz mutant into a tournament competitor,
-// pairing each mutant family with its probe channel.
-func mutantTournVictim(sel uint8, a uint64, tail []byte) (tournVictim, bool) {
+// pairing each mutant family with its probe channel: the families with
+// a probe page (loopsecret, modexp) transmit through it, the rest
+// (singlesecret, controlflow, ctchain) through the divider.
+func mutantTournVictim(sel uint8, a uint64, tail []byte) (SanTarget, bool) {
 	lay, handleSym := mutantLayout(sel, a, tail)
 	if lay == nil || lay.Sym(handleSym) == 0 {
-		return tournVictim{}, false
+		return SanTarget{}, false
 	}
-	tv := tournVictim{SanTarget: SanTarget{
+	pb := probe{kind: probePort}
+	if _, ok := lay.Symbols["probe"]; ok {
+		pb = probe{probeCache, "probe"}
+	}
+	return SanTarget{
 		Name:   "mutant",
 		Handle: handleSym,
 		Build: func() (*victim.Layout, error) {
 			l, _ := mutantLayout(sel, a, tail)
 			return l, nil
 		},
-	}}
-	switch sel % 4 {
-	case 0, 1: // singlesecret, controlflow: divider transmitters
-		tv.probe = probePort
-	default: // loopsecret, modexp: probe-page transmitters
-		tv.probe = probeCache
-		tv.probeSym = "probe"
-	}
-	return tv, true
+		probe: pb,
+	}, true
 }
 
 // FuzzTournamentDeterminism runs a mini-tournament (one mutant victim,
@@ -495,6 +500,10 @@ func FuzzTournamentDeterminism(f *testing.F) {
 	f.Add(uint8(1), uint64(1), []byte{}, uint8(3))
 	f.Add(uint8(2), uint64(3), []byte{1, 4, 2}, uint8(5))
 	f.Add(uint8(3), uint64(0x03050b07), []byte{}, uint8(7))
+	// mutantLayout picks the family by sel%5: ctchain, and controlflow
+	// at a sel whose residue mod 4 is a probe-page family's.
+	f.Add(uint8(4), uint64(9), []byte{}, uint8(2))
+	f.Add(uint8(86), uint64(3), []byte("0"), uint8(5))
 	f.Fuzz(func(t *testing.T, sel uint8, a uint64, tail []byte, defSel uint8) {
 		tv, ok := mutantTournVictim(sel, a, tail)
 		if !ok {
@@ -502,11 +511,10 @@ func FuzzTournamentDeterminism(f *testing.F) {
 		}
 		roster := defense.All()
 		defs := []defense.Defense{roster[0], roster[1+int(defSel)%(len(roster)-1)]}
-		handles := TournamentHandles()
 		run := func(workers int, fastForward bool) []byte {
 			cfg := cpu.DefaultConfig()
 			cfg.FastForward = fastForward
-			m, err := runTournamentMatrix([]tournVictim{tv}, defs, handles, cfg, workers)
+			m, err := runTournamentMatrix([]SanTarget{tv}, defs, cfg, workers)
 			if err != nil {
 				t.Fatalf("workers=%d fast-forward=%t: %v", workers, fastForward, err)
 			}
@@ -519,11 +527,11 @@ func FuzzTournamentDeterminism(f *testing.F) {
 		want := run(1, true)
 		if !bytes.Equal(want, run(3, true)) {
 			t.Errorf("mini-matrix bytes depend on worker count (sel=%d a=%#x def=%s)",
-				sel, a, defs[1].Name())
+				sel, a, defs[1].Name)
 		}
 		if !bytes.Equal(want, run(1, false)) {
 			t.Errorf("mini-matrix bytes depend on fast-forward (sel=%d a=%#x def=%s)",
-				sel, a, defs[1].Name())
+				sel, a, defs[1].Name)
 		}
 	})
 }

@@ -2,14 +2,12 @@ package lint
 
 // The hookpair analyzer: hook-set completeness. The simulator's
 // extension points are interfaces — cpu.Tracer, cpu.ShadowTracker,
-// cpu.FaultHandler, kernel.FaultHook, defense.Defense — and a struct
-// that name-matches part of a hook set without satisfying the whole
-// interface is a latent wiring bug: the value fails the interface
-// assertion at runtime (or keeps compiling against a stale local copy
-// of the method list) instead of receiving hooks. This bit in PR 9:
-// a defense with four of the five Defense methods is not a defense,
-// and a shadow tracker handling five of the six Shadow* events
-// desynchronizes the taint state on the sixth.
+// cpu.FaultHandler, kernel.FaultHook — and a struct that name-matches
+// part of a hook set without satisfying the whole interface is a latent
+// wiring bug: the value fails the interface assertion at runtime (or
+// keeps compiling against a stale local copy of the method list)
+// instead of receiving hooks. A shadow tracker handling five of the six
+// Shadow* events desynchronizes the taint state on the sixth.
 //
 // For each struct type declared in the package and each manifest hook
 // interface visible from the package:
@@ -18,7 +16,7 @@ package lint
 //     promoted methods complete the set);
 //   - full name overlap, unsatisfied: flagged (signature drift);
 //   - partial overlap of >= 2 hook names, or a single distinctive hook
-//     name (single-method interfaces; generic names like Name/String
+//     name (single-method interfaces; generic names like String/Reset
 //     are stoplisted in hookCommonNames): flagged unless the type
 //     carries //simlint:hookexempt <reason>.
 
@@ -162,9 +160,9 @@ func checkHookType(u *Unit, ts *ast.TypeSpec, tn *types.TypeName,
 		}
 
 		// Partial overlap: require it to be convincing before flagging.
-		// A single generic name (Name, String, ...) is not evidence of
-		// an intended hook implementation; a single distinctive one
-		// (ShadowSquash, Harden) is.
+		// A single generic name (String, Reset) is not evidence of an
+		// intended hook implementation; a single distinctive one
+		// (ShadowSquash, HandleFault) is.
 		if len(overlap) == 1 && hookCommonNames[overlap[0]] {
 			continue
 		}

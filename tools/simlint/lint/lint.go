@@ -15,7 +15,7 @@
 //     kinds) must be total — every declared constant, a default, or an
 //     exemption;
 //   - hookpair: implementations of the simulator's hook interfaces
-//     (cpu.Tracer, cpu.ShadowTracker, defense.Defense, ...) must
+//     (cpu.Tracer, cpu.ShadowTracker, kernel.FaultHook, ...) must
 //     satisfy the full hook set or delegate via embedding; a partial
 //     name-match is a wiring bug waiting for a nil-method panic.
 //

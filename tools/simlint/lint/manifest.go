@@ -9,7 +9,9 @@ package lint
 //
 // Each manifest carries permanent fixture entries (package paths
 // "enumtotal", "hookpair") so the want-comment fixtures exercise the
-// same manifest-driven lookup path as the live tree.
+// same manifest-driven lookup path as the live tree. The analyzers skip
+// an entry whose type they cannot find, so TestManifestsNameLiveTypes
+// checks that every live entry still names a type of the right kind.
 
 // enumManifest names the closed enums ("pkgpath.TypeName") whose value
 // switches must be total: cover every declared constant of the type,
@@ -43,19 +45,15 @@ var hookManifest = []hookIface{
 	{"microscope/sim/cpu", "ShadowTracker"},
 	{"microscope/sim/cpu", "FaultHandler"},
 	{"microscope/sim/kernel", "FaultHook"},
-	{"microscope/attack/defense", "Defense"},
 	// Fixture package (testdata/src/hookpair).
 	{"hookpair", "Hook"},
 }
 
 // hookCommonNames are method names too generic to identify an intended
-// hook implementation on their own: a lone Name() string must not drag
-// every named thing in the repo into the Defense hook set. A
+// hook implementation on their own: a lone String() string must not
+// drag every named thing in the repo into a hook set that has one. A
 // single-method overlap is only flagged when the name is distinctive.
 var hookCommonNames = map[string]bool{
-	"Name":      true,
-	"String":    true,
-	"Reset":     true,
-	"Configure": true,
-	"Install":   true,
+	"String": true,
+	"Reset":  true,
 }
