@@ -8,9 +8,11 @@ package lint
 import (
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -41,6 +43,73 @@ func TestLiveTreeClean(t *testing.T) {
 		}
 		for _, d := range Run(u, analyzers) {
 			t.Errorf("%s: %s: %s", l.Fset.Position(d.Pos), d.Analyzer, d.Msg)
+		}
+	}
+}
+
+// TestManifestsNameLiveTypes: enumtotal and hookpair skip a manifest
+// entry whose type is gone or has changed kind, so a stale entry checks
+// nothing and passes. Every live enumManifest entry must name an integer
+// type with declared constants, and every live hookManifest entry an
+// interface. Fixture entries (packages outside the module) are covered
+// by the fixture tests.
+func TestManifestsNameLiveTypes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("typechecks the manifest packages")
+	}
+	l, err := NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lookup := func(key, pkgPath, name string) *types.TypeName {
+		if pkgPath != l.ModPath && !strings.HasPrefix(pkgPath, l.ModPath+"/") {
+			return nil // fixture entry
+		}
+		u, err := l.Load(pkgPath)
+		if err != nil {
+			t.Errorf("%s: loading %s: %v", key, pkgPath, err)
+			return nil
+		}
+		tn, ok := u.Pkg.Scope().Lookup(name).(*types.TypeName)
+		if !ok {
+			t.Errorf("%s: %s declares no type %s", key, pkgPath, name)
+		}
+		return tn
+	}
+
+	keys := make([]string, 0, len(enumManifest))
+	for key := range enumManifest {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	for _, key := range keys {
+		dot := strings.LastIndex(key, ".")
+		tn := lookup("enumManifest "+key, key[:dot], key[dot+1:])
+		if tn == nil {
+			continue
+		}
+		named, ok := tn.Type().(*types.Named)
+		basic, isBasic := tn.Type().Underlying().(*types.Basic)
+		if !ok || !isBasic || basic.Info()&types.IsInteger == 0 {
+			t.Errorf("enumManifest %s: not a named integer type", key)
+			continue
+		}
+		consts := 0
+		scope := tn.Pkg().Scope()
+		for _, name := range scope.Names() {
+			if c, ok := scope.Lookup(name).(*types.Const); ok && types.Identical(c.Type(), named) {
+				consts++
+			}
+		}
+		if consts == 0 {
+			t.Errorf("enumManifest %s: declares no constants", key)
+		}
+	}
+
+	for _, hi := range hookManifest {
+		key := "hookManifest " + hi.PkgPath + "." + hi.Name
+		if tn := lookup(key, hi.PkgPath, hi.Name); tn != nil && !types.IsInterface(tn.Type()) {
+			t.Errorf("%s: not an interface", key)
 		}
 	}
 }
