@@ -322,7 +322,9 @@ func TestRunFig11Smoke(t *testing.T) {
 // testdata holds those commands' stdout. On the example script every
 // replay window shows the secret (3) as the one hot probe line, and the
 // victim finishes after its three faults. The metrics_*.golden files pin
-// the `-metrics` block of the four single-core subcommands that print it.
+// the `-metrics` block of the four single-core subcommands that print it,
+// and baselines, generalize and denoise pin the Prime+Probe baseline,
+// the §7.2 RDRAND bias attack and the denoise port samples.
 func TestGoldenOutputs(t *testing.T) {
 	for _, c := range []struct {
 		golden string
@@ -341,6 +343,9 @@ func TestGoldenOutputs(t *testing.T) {
 		{"metrics_timeline.golden", []string{"-metrics", "timeline"}},
 		{"metrics_execpath.golden", []string{"-metrics", "execpath"}},
 		{"metrics_pipeview.golden", []string{"-metrics", "pipeview"}},
+		{"baselines.golden", []string{"baselines"}},
+		{"generalize.golden", []string{"generalize"}},
+		{"denoise.golden", []string{"denoise"}},
 	} {
 		want, err := os.ReadFile(filepath.Join("testdata", c.golden))
 		if err != nil {
