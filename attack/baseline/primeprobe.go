@@ -4,11 +4,12 @@ import (
 	"math/rand"
 
 	"microscope/analysis/sweep"
+	"microscope/attack/microscope"
 	"microscope/attack/platform"
 	"microscope/attack/victim"
 	"microscope/crypto/taes"
-	"microscope/sim/cache"
 	"microscope/sim/cpu"
+	"microscope/sim/mem"
 )
 
 // PrimeProbeResult contrasts a conventional multi-run Prime+Probe cache
@@ -60,44 +61,21 @@ func RunPrimeProbe(key, plaintext []byte, flipProb float64, maxTraces int, seed 
 
 	oneTrace := func(trace int) (uint16, error) {
 		rng := rand.New(rand.NewSource(sweep.SeedFor(seed, trace)))
-		rig, err := platform.New(cpu.DefaultConfig())
+		rig, vic, td1, err := bootAESTd1(key, ct)
 		if err != nil {
 			return 0, err
 		}
-		core, proc := rig.Core, rig.Victim
-		vic, err := victim.NewAESVictim(key, ct)
-		if err != nil {
-			return 0, err
-		}
-		if err := rig.InstallVictim(vic.Layout); err != nil {
-			return 0, err
-		}
-		// Prime: evict all Td1 lines.
-		for line := 0; line < taes.LinesPerTable; line++ {
-			pa, err := proc.AddressSpace().Translate(vic.TdLineVA(1, line))
-			if err != nil {
-				return 0, err
-			}
-			core.Hierarchy().FlushAddr(pa)
-		}
+		td1.FlushAll() // prime
 		vic.Start(rig.Kernel, 0)
 		if err := rig.Run(20_000_000); err != nil {
 			return 0, err
 		}
 		// Probe with measurement noise: each line's verdict flips with
 		// probability flipProb (pollution, preemptions, PMU coarseness).
-		var mask uint16
-		for line := 0; line < taes.LinesPerTable; line++ {
-			pa, err := proc.AddressSpace().Translate(vic.TdLineVA(1, line))
-			if err != nil {
-				return 0, err
-			}
-			hot := core.Hierarchy().LevelOf(pa) != cache.LevelMem
+		mask := uint16(td1.Hot())
+		for line := range taes.LinesPerTable {
 			if rng.Float64() < flipProb {
-				hot = !hot
-			}
-			if hot {
-				mask |= 1 << uint(line)
+				mask ^= 1 << line
 			}
 		}
 		return mask, nil
@@ -152,4 +130,30 @@ func RunPrimeProbe(key, plaintext []byte, flipProb float64, maxTraces int, seed 
 		res.TracesTo99 = -1
 	}
 	return res, nil
+}
+
+// bootAESTd1 boots a platform with the AES victim decrypting ct and
+// returns it with a probe over Td1's lines, the table both cache
+// baselines watch.
+func bootAESTd1(key, ct []byte) (*platform.Rig, *victim.AESVictim, *microscope.Probe, error) {
+	rig, err := platform.New(cpu.DefaultConfig())
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	vic, err := victim.NewAESVictim(key, ct)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if err := rig.InstallVictim(vic.Layout); err != nil {
+		return nil, nil, nil, err
+	}
+	vas := make([]mem.Addr, taes.LinesPerTable)
+	for line := range vas {
+		vas[line] = vic.TdLineVA(1, line)
+	}
+	td1, err := rig.Module.NewProbe(rig.Victim, vas)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return rig, vic, td1, nil
 }

@@ -1,15 +1,6 @@
 package baseline
 
-import (
-	"fmt"
-
-	"microscope/attack/platform"
-	"microscope/attack/victim"
-	"microscope/crypto/taes"
-	"microscope/sim/cache"
-	"microscope/sim/cpu"
-	"microscope/sim/mem"
-)
+import "microscope/crypto/taes"
 
 // SGXStepResult contrasts interrupt-driven single-stepping (SGX-Step
 // [57], CacheZoom [40] — Table 1's fine-grain/high-resolution/noisy cell)
@@ -56,45 +47,20 @@ func RunSGXStep(key, plaintext []byte, interval uint64, noisePeriod int) (*SGXSt
 		}
 	}
 
-	rig, err := platform.New(cpu.DefaultConfig())
+	rig, vic, td1, err := bootAESTd1(key, ct)
 	if err != nil {
 		return nil, err
 	}
-	core, proc := rig.Core, rig.Victim
-	vic, err := victim.NewAESVictim(key, ct)
-	if err != nil {
-		return nil, err
-	}
-	if err := rig.InstallVictim(vic.Layout); err != nil {
-		return nil, err
-	}
-
-	probePAs := make([]mem.Addr, taes.LinesPerTable)
-	for line := range probePAs {
-		pa, err := proc.AddressSpace().Translate(vic.TdLineVA(1, line))
-		if err != nil {
-			return nil, err
-		}
-		probePAs[line] = pa
-	}
-	prime := func() {
-		for _, pa := range probePAs {
-			core.Hierarchy().FlushAddr(pa)
-		}
-	}
+	core := rig.Core
 	noiseTick := 0
 	probe := func() uint16 {
-		var mask uint16
-		for line, pa := range probePAs {
-			hot := core.Hierarchy().LevelOf(pa) != cache.LevelMem
+		mask := uint16(td1.Hot())
+		for line := range taes.LinesPerTable {
 			if noisePeriod > 0 {
 				noiseTick++
 				if noiseTick%noisePeriod == 0 {
-					hot = !hot // pollution/prefetch misclassification
+					mask ^= 1 << line // pollution/prefetch misclassification
 				}
-			}
-			if hot {
-				mask |= 1 << uint(line)
 			}
 		}
 		return mask
@@ -121,21 +87,12 @@ func RunSGXStep(key, plaintext []byte, interval uint64, noisePeriod int) (*SGXSt
 		ExtractedPerRound: map[int]uint16{},
 	}
 
-	prime()
+	td1.FlushAll()
 	vic.Start(rig.Kernel, 0)
 	ctx := core.Context(0)
 	lastRetired := uint64(0)
 	stepped := func() bool { return ctx.Stats().Retired >= lastRetired+interval }
-	// The run ends when RunUntil comes back unmet: the victim halted or
-	// the budget ran out.
-	for end := core.Cycle() + 100_000_000; core.Cycle() < end; {
-		met, err := rig.RunUntil(stepped, end-core.Cycle())
-		if err != nil {
-			return nil, err
-		}
-		if !met {
-			break
-		}
+	err = rig.RunReacting(100_000_000, stepped, func() error {
 		lastRetired = ctx.Stats().Retired
 		res.Steps++
 		core.Preempt(0, 200) // the AEX + attacker code per step
@@ -145,10 +102,11 @@ func RunSGXStep(key, plaintext []byte, interval uint64, noisePeriod int) (*SGXSt
 		if r := roundOf(ctx.PC()); r >= 1 {
 			res.ExtractedPerRound[r] |= probe()
 		}
-		prime()
-	}
-	if !ctx.Halted() {
-		return nil, fmt.Errorf("baseline: stepped victim did not finish")
+		td1.FlushAll()
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	for r := 1; r < c.Rounds(); r++ {
 		if res.ExtractedPerRound[r] != truth[r] {

@@ -85,12 +85,12 @@ func TestAblations(t *testing.T) {
 				}
 				var cached float64
 				firstFault(t, cfg, l, 0, func(rig *platform.Rig) {
-					prs, err := rig.Module.ProbeAddrs(rig.Victim, addrs)
+					probe, err := rig.Module.NewProbe(rig.Victim, addrs)
 					if err != nil {
 						t.Fatal(err)
 					}
-					for _, pr := range prs {
-						if pr.Level != 4 { // 4 is memory
+					for i := range probe.Len() {
+						if probe.Level(i) != 4 { // 4 is memory
 							cached++
 						}
 					}

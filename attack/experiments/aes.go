@@ -48,13 +48,30 @@ func TrialPlaintext(trial int) []byte {
 	return pt
 }
 
-// aesRig bundles the platform with the AES victim and its probe lists.
+// aesRig bundles the platform with the AES victim and one probe per
+// T-table: Td0..Td3 and Td4, bit i of a table's mask for its line i.
 type aesRig struct {
 	*platform.Rig
-	vic       *victim.AESVictim
-	allLines  []mem.Addr // Td0..Td3 + Td4 cache-line addresses (80)
-	lineTable []int      // parallel: table index per probe address
-	lineIdx   []int      // parallel: line index within table
+	vic *victim.AESVictim
+	td  [5]*microscope.Probe
+}
+
+// attachAES binds an installed AES victim to rig, resolving the lines
+// of its five T-tables.
+func attachAES(rig *platform.Rig, vic *victim.AESVictim) (*aesRig, error) {
+	ar := &aesRig{Rig: rig, vic: vic}
+	vas := make([]mem.Addr, taes.LinesPerTable)
+	for tbl := range ar.td {
+		for line := range vas {
+			vas[line] = vic.TdLineVA(tbl, line)
+		}
+		p, err := rig.Module.NewProbe(rig.Victim, vas)
+		if err != nil {
+			return nil, err
+		}
+		ar.td[tbl] = p
+	}
+	return ar, nil
 }
 
 func newAESRig(cfg AESConfig) (*aesRig, []byte, error) {
@@ -79,22 +96,15 @@ func newAESRig(cfg AESConfig) (*aesRig, []byte, error) {
 	if err := rig.InstallVictim(vic.Layout); err != nil {
 		return nil, nil, err
 	}
-	ar := &aesRig{Rig: rig, vic: vic}
-	for tbl := 0; tbl < 5; tbl++ {
-		for line := 0; line < taes.LinesPerTable; line++ {
-			ar.allLines = append(ar.allLines, vic.TdLineVA(tbl, line))
-			ar.lineTable = append(ar.lineTable, tbl)
-			ar.lineIdx = append(ar.lineIdx, line)
-		}
-	}
-	return ar, ct, nil
+	ar, err := attachAES(rig, vic)
+	return ar, ct, err
 }
 
 // forkAESRig adapts a pooled rig — already restored to the template's
 // post-install checkpoint — to one sweep trial: it encrypts the trial
 // plaintext and writes the ciphertext into the victim's in page,
 // leaving the machine in exactly the state newAESRig would have built
-// for that plaintext. The victim program, symbols and probe lists are
+// for that plaintext. The victim program and symbols are
 // ciphertext-independent and shared read-only with the template.
 func forkAESRig(template *aesRig, rig *platform.Rig, cfg AESConfig) (*aesRig, []byte, error) {
 	c, err := taes.NewCipher(cfg.Key)
@@ -113,34 +123,25 @@ func forkAESRig(template *aesRig, rig *platform.Rig, cfg AESConfig) (*aesRig, []
 	if err := rig.Victim.AddressSpace().WriteVirt(victim.AESInVA, img); err != nil {
 		return nil, nil, err
 	}
-	return &aesRig{
-		Rig:       rig,
-		vic:       template.vic,
-		allLines:  template.allLines,
-		lineTable: template.lineTable,
-		lineIdx:   template.lineIdx,
-	}, ct, nil
+	ar, err := attachAES(rig, template.vic)
+	return ar, ct, err
 }
 
-// probeMasks probes every Td line and returns per-table bitmasks of
-// cached (≠ memory) lines.
-func (ar *aesRig) probeMasks() ([5]uint16, error) {
+// probeMasks returns per-table bitmasks of the Td lines a cache level
+// above main memory holds.
+func (ar *aesRig) probeMasks() [5]uint16 {
 	var masks [5]uint16
-	res, err := ar.Module.ProbeAddrs(ar.Victim, ar.allLines)
-	if err != nil {
-		return masks, err
+	for tbl, p := range ar.td {
+		masks[tbl] = uint16(p.Hot())
 	}
-	for i, pr := range res {
-		if pr.Level != cache.LevelMem {
-			masks[ar.lineTable[i]] |= 1 << uint(ar.lineIdx[i])
-		}
-	}
-	return masks, nil
+	return masks
 }
 
 // prime evicts every Td line to memory.
-func (ar *aesRig) prime() error {
-	return ar.Module.PrimeAddrs(ar.Victim, ar.allLines)
+func (ar *aesRig) prime() {
+	for _, p := range ar.td {
+		p.FlushAll()
+	}
 }
 
 // truthMasks computes the ground-truth per-round per-table line masks
@@ -218,22 +219,7 @@ func RunFig11(cfg AESConfig) (*Fig11Result, error) {
 		}
 	}
 
-	probeTd1 := func(into *[16]uint64) error {
-		var addrs []mem.Addr
-		for line := 0; line < taes.LinesPerTable; line++ {
-			addrs = append(addrs, ar.vic.TdLineVA(1, line))
-		}
-		prs, err := ar.Module.ProbeAddrs(ar.Victim, addrs)
-		if err != nil {
-			return err
-		}
-		for i, pr := range prs {
-			into[i] = uint64(pr.Latency)
-		}
-		return nil
-	}
-
-	var probeErr error
+	hier := ar.Core.Hierarchy()
 	arrival := 0
 	rec := &microscope.Recipe{
 		Name:           "fig11",
@@ -251,17 +237,15 @@ func RunFig11(cfg AESConfig) (*Fig11Result, error) {
 		if arrival > 2 {
 			return microscope.Release
 		}
-		if probeErr = probeTd1(&res.Latencies[arrival]); probeErr != nil {
-			return microscope.Release
+		for line := range res.Latencies[arrival] {
+			res.Latencies[arrival][line] = uint64(hier.HitLatency(ar.td[1].Level(line)))
 		}
 		arrival++
 		if arrival > 2 {
 			return microscope.Release
 		}
-		// Prime Td1 (evict to memory) and replay the window.
-		if probeErr = ar.prime(); probeErr != nil {
-			return microscope.Release
-		}
+		// Prime the T-tables (evict to memory) and replay the window.
+		ar.prime()
 		return microscope.Replay
 	}
 	if err := ar.Module.Install(rec); err != nil {
@@ -271,9 +255,6 @@ func RunFig11(cfg AESConfig) (*Fig11Result, error) {
 	if err := ar.Run(50_000_000); err != nil {
 		return nil, err
 	}
-	if probeErr != nil {
-		return nil, probeErr
-	}
 	if arrival != 3 {
 		return nil, fmt.Errorf("experiments: fig11 saw %d pivot arrivals, want 3", arrival)
 	}
@@ -281,7 +262,7 @@ func RunFig11(cfg AESConfig) (*Fig11Result, error) {
 	// Classify.
 	bands := sidechan.DefaultCacheBands()
 	res.Replay0Bands = bands.DistinctBands(res.Latencies[0][:])
-	l1Lat := uint64(ar.Core.Hierarchy().HitLatency(cache.LevelL1))
+	l1Lat := uint64(hier.HitLatency(cache.LevelL1))
 	for rep := 1; rep <= 2; rep++ {
 		for line := 0; line < 16; line++ {
 			if res.Latencies[rep][line] <= l1Lat {

@@ -85,14 +85,9 @@ func runAESExtraction(ar *aesRig, cfg AESConfig, ct []byte) (*ExtractionResult, 
 		Truth:     truth,
 	}
 
-	var attackErr error
-	fail := func(err error) microscope.Decision {
-		if attackErr == nil {
-			attackErr = err
-		}
-		return microscope.Release
-	}
-
+	// installErr is recB's failure to arm the rk page inside recA's
+	// handler.
+	var installErr error
 	var round1Masks [5]uint16
 	wRK := map[[2]int][5]uint16{} // (round, col) -> probed masks
 
@@ -124,17 +119,11 @@ func runAESExtraction(ar *aesRig, cfg AESConfig, ct []byte) (*ExtractionResult, 
 			switch arrival {
 			case 0:
 				arrival++
-				if err := ar.prime(); err != nil {
-					return fail(err)
-				}
+				ar.prime()
 				return microscope.Replay
 			default:
 				arrival = 0
-				masks, err := ar.probeMasks()
-				if err != nil {
-					return fail(err)
-				}
-				wRK[[2]int{r, c}] = masks
+				wRK[[2]int{r, c}] = ar.probeMasks()
 				if r == nr {
 					return microscope.Release // final round probed: done
 				}
@@ -162,18 +151,13 @@ func runAESExtraction(ar *aesRig, cfg AESConfig, ct []byte) (*ExtractionResult, 
 			// retired. Arm the rk page via recB, prime, and replay: the
 			// window now executes exactly round 1's 16 lookups.
 			if err := ar.Module.Install(recB); err != nil {
-				return fail(err)
+				installErr = err
+				return microscope.Release
 			}
-			if err := ar.prime(); err != nil {
-				return fail(err)
-			}
+			ar.prime()
 			return microscope.Replay
 		default:
-			masks, err := ar.probeMasks()
-			if err != nil {
-				return fail(err)
-			}
-			round1Masks = masks
+			round1Masks = ar.probeMasks()
 			return microscope.Release
 		}
 	}
@@ -187,8 +171,8 @@ func runAESExtraction(ar *aesRig, cfg AESConfig, ct []byte) (*ExtractionResult, 
 		return nil, err
 	}
 	res.Cycles = ar.Core.Cycle() - start
-	if attackErr != nil {
-		return nil, attackErr
+	if installErr != nil {
+		return nil, installErr
 	}
 
 	// Assemble per-round masks.

@@ -47,8 +47,11 @@ func RunModExp(base, exp, mod uint64, bits int) (*ModExpResult, error) {
 	for i := range probeLines {
 		probeLines[i] = vic.ProbeLineVA(i)
 	}
+	probe, err := rig.Module.NewProbe(rig.Victim, probeLines)
+	if err != nil {
+		return nil, err
+	}
 
-	var attackErr error
 	iteration := 0
 	arrival := 0
 	rec := &microscope.Recipe{
@@ -75,20 +78,11 @@ func RunModExp(base, exp, mod uint64, bits int) (*ModExpResult, error) {
 		const trainingReplays = 3
 		if arrival < trainingReplays {
 			arrival++
-			if err := rig.Module.PrimeAddrs(rig.Victim, probeLines); err != nil {
-				attackErr = err
-				return microscope.Release
-			}
+			probe.FlushAll()
 			return microscope.Replay
 		}
 		arrival = 0
-		prs, err := rig.Module.ProbeAddrs(rig.Victim,
-			[]mem.Addr{vic.ProbeLineVA(iteration)})
-		if err != nil {
-			attackErr = err
-			return microscope.Release
-		}
-		if prs[0].Level != cache.LevelMem {
+		if probe.Level(iteration) != cache.LevelMem {
 			res.RecoveredExp |= 1 << uint(bits-1-iteration)
 		}
 		return microscope.Pivot
@@ -99,9 +93,6 @@ func RunModExp(base, exp, mod uint64, bits int) (*ModExpResult, error) {
 	vic.Start(rig.Kernel, 0)
 	if err := rig.Run(200_000_000); err != nil {
 		return nil, err
-	}
-	if attackErr != nil {
-		return nil, attackErr
 	}
 
 	out, err := rig.Victim.AddressSpace().Read64Virt(vic.Sym("out"))

@@ -6,8 +6,8 @@ import (
 	"microscope/attack/microscope"
 	"microscope/attack/platform"
 	"microscope/attack/victim"
-	"microscope/sim/cache"
 	"microscope/sim/cpu"
+	"microscope/sim/mem"
 )
 
 // BiasResult reports one RDRAND integrity-bias attack (§7.2).
@@ -62,26 +62,16 @@ func runRDRANDBias(targetBit uint64, maxWindows int, fenced bool,
 		return nil, err
 	}
 	as := rig.Victim.AddressSpace()
-	line0, err := as.Translate(l.Sym("array"))
+	// The victim transmits its bit b by touching line b of the array.
+	lines, err := rig.Module.NewProbe(rig.Victim, []mem.Addr{l.Sym("array"), l.Sym("array") + 64})
 	if err != nil {
 		return nil, err
-	}
-	line1, err := as.Translate(l.Sym("array") + 64)
-	if err != nil {
-		return nil, err
-	}
-	h := rig.Core.Hierarchy()
-	flushLines := func() {
-		h.FlushAddr(line0)
-		h.FlushAddr(line1)
 	}
 	observeBit := func() (uint64, bool) {
-		hot0 := h.LevelOf(line0) != cache.LevelMem
-		hot1 := h.LevelOf(line1) != cache.LevelMem
-		switch {
-		case hot0 && !hot1:
+		switch lines.Hot() {
+		case 0b01:
 			return 0, true
-		case hot1 && !hot0:
+		case 0b10:
 			return 1, true
 		}
 		return 0, false
@@ -102,7 +92,7 @@ func runRDRANDBias(targetBit uint64, maxWindows int, fenced bool,
 			gaveUp = true
 			return microscope.Release
 		}
-		flushLines()
+		lines.FlushAll()
 		return microscope.Replay
 	}
 	if err := rig.Module.Install(rec); err != nil {
@@ -111,7 +101,7 @@ func runRDRANDBias(targetBit uint64, maxWindows int, fenced bool,
 	if armed != nil {
 		armed(rig, rec)
 	}
-	flushLines()
+	lines.FlushAll()
 	l.Start(rig.Kernel, 0)
 
 	// Watch the probe lines after every cycle the core can act in. When
@@ -132,7 +122,7 @@ func runRDRANDBias(targetBit uint64, maxWindows int, fenced bool,
 		_, err := as.SetPresent(l.Sym("handle"), true)
 		return err
 	}
-	if err := runReacting(rig, 100_000_000, wanted, accept); err != nil {
+	if err := rig.RunReacting(100_000_000, wanted, accept); err != nil {
 		return nil, fmt.Errorf("experiments: rdrand bias: %w", err)
 	}
 	out, err := as.Read64Virt(l.Sym("out"))

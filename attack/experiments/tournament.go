@@ -13,6 +13,7 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
+	"math/bits"
 	"slices"
 	"strings"
 
@@ -21,7 +22,6 @@ import (
 	"microscope/attack/microscope"
 	"microscope/attack/platform"
 	"microscope/attack/victim"
-	"microscope/sim/cache"
 	"microscope/sim/cpu"
 	"microscope/sim/mem"
 )
@@ -433,25 +433,27 @@ func runTournTrial(w tournWarm, baseCfg cpu.Config,
 type prober struct {
 	kind  probeKind
 	core  *cpu.Core
-	lines []mem.Addr // physical addresses of the probe page's lines
+	lines *microscope.Probe // probeCache: the probe page's lines
 	busy  uint64
 }
 
-// newProber sets the channel up cold: cache probes translate and flush
-// every line of the probe page; port probes latch the divider counter.
+// newProber sets the channel up cold: cache probes flush every line of
+// the probe page; port probes latch the divider counter.
 func newProber(rig *platform.Rig, v SanTarget, lay *victim.Layout) (*prober, error) {
 	p := &prober{kind: v.probe.kind, core: rig.Core}
 	switch v.probe.kind {
 	case probeCache:
 		base := lay.Sym(v.probe.sym)
-		for off := mem.Addr(0); off < mem.PageSize; off += 64 {
-			pa, err := rig.Victim.AddressSpace().Translate(base + off)
-			if err != nil {
-				return nil, err
-			}
-			p.lines = append(p.lines, pa)
-			rig.Core.Hierarchy().FlushAddr(pa)
+		vas := make([]mem.Addr, mem.PageSize/64)
+		for i := range vas {
+			vas[i] = base + mem.Addr(i)*64
 		}
+		lines, err := rig.Module.NewProbe(rig.Victim, vas)
+		if err != nil {
+			return nil, err
+		}
+		lines.FlushAll()
+		p.lines = lines
 	case probePort:
 		p.busy = rig.Core.Ports().DivBusyCycles
 	}
@@ -464,14 +466,11 @@ func newProber(rig *platform.Rig, v SanTarget, lay *victim.Layout) (*prober, err
 func (p *prober) sample() bool {
 	switch p.kind {
 	case probeCache:
-		hot := false
-		for _, pa := range p.lines {
-			if p.core.Hierarchy().LevelOf(pa) != cache.LevelMem {
-				hot = true
-				p.core.Hierarchy().FlushAddr(pa)
-			}
+		hot := p.lines.Hot()
+		for m := hot; m != 0; m &= m - 1 {
+			p.lines.Flush(bits.TrailingZeros64(m))
 		}
-		return hot
+		return hot != 0
 	case probePort:
 		busy := p.core.Ports().DivBusyCycles
 		leaked := busy > p.busy
@@ -575,7 +574,7 @@ func driveTSX(rig *platform.Rig, v SanTarget, hardened *victim.Layout) (driveRes
 	lastAborts := ctx.Stats().TxAborts
 	released := false
 	aborted := func() bool { return ctx.Stats().TxAborts != lastAborts }
-	err = runReacting(rig, tournDriveMaxCycles, aborted, func() error {
+	err = rig.RunReacting(tournDriveMaxCycles, aborted, func() error {
 		a := ctx.Stats().TxAborts
 		res.replays += int(a - lastAborts)
 		lastAborts = a
@@ -640,7 +639,7 @@ func driveMispredict(rig *platform.Rig, v SanTarget, hardened *victim.Layout) (d
 	last := startMis
 	reprimes := 0
 	mispredicted := func() bool { return ctx.Stats().Mispredicts != last }
-	err = runReacting(rig, tournDriveMaxCycles, mispredicted, func() error {
+	err = rig.RunReacting(tournDriveMaxCycles, mispredicted, func() error {
 		last = ctx.Stats().Mispredicts
 		if pb.sample() {
 			res.leaky++
@@ -657,30 +656,4 @@ func driveMispredict(rig *platform.Rig, v SanTarget, hardened *victim.Layout) (d
 	res.replays = int(last - startMis)
 	res.cycles = rig.Core.Cycle() - start
 	return res, nil
-}
-
-// runReacting runs the rig until every loaded context halts, calling
-// react each time event holds; react must make event false again. The
-// cycles fast-forward skips are no-ops, so react runs after the same
-// cycles as it would with the core stepped one cycle at a time.
-// maxCycles bounds the whole run. It returns the module's fault-handler
-// failure, react's error, or the rig's timeout error.
-func runReacting(rig *platform.Rig, maxCycles uint64, event func() bool, react func() error) error {
-	end := rig.Core.Cycle() + maxCycles
-	for {
-		met, err := rig.RunUntil(event, end-rig.Core.Cycle())
-		if err != nil {
-			return err
-		}
-		if !met {
-			break
-		}
-		if err := react(); err != nil {
-			return err
-		}
-	}
-	if !rig.Core.Halted() {
-		return rig.TimeoutErr(maxCycles)
-	}
-	return nil
 }

@@ -1,6 +1,8 @@
 package microscope
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"microscope/attack/victim"
@@ -146,6 +148,50 @@ func TestWalkLevelTuning(t *testing.T) {
 	}
 }
 
+// TestProbe: NewProbe resolves a line on a page whose present bit is
+// clear, fails naming the first line without a translation, and the
+// probe's reads and flushes allocate nothing.
+func TestProbe(t *testing.T) {
+	r := newRig(t, cpu.DefaultConfig())
+	l := victim.LoopSecret([]byte{1})
+	r.install(t, l)
+	base := l.Sym("probe") // a one-page region
+	pa, err := r.proc.AddressSpace().Translate(base + 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.proc.AddressSpace().SetPresent(base, false); err != nil {
+		t.Fatal(err)
+	}
+	p, err := r.m.NewProbe(r.proc, []mem.Addr{base, base + 64, base + 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.FlushAll()
+	r.core.Hierarchy().WarmTo(pa, cache.LevelL2)
+	if hot, lvl := p.Hot(), p.Level(2); hot != 0b100 || lvl != cache.LevelL2 {
+		t.Errorf("after warming line 2 to L2: Hot() = %03b, Level(2) = %s; want 100, L2", hot, lvl)
+	}
+	p.Flush(2)
+	if hot := p.Hot(); hot != 0 {
+		t.Errorf("after Flush(2): Hot() = %03b, want 0", hot)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		p.Hot()
+		p.Level(1)
+		p.Flush(0)
+		p.FlushAll()
+	}); n != 0 {
+		t.Errorf("a sample allocates %v times, want 0", n)
+	}
+
+	end := base + mem.PageSize
+	_, err = r.m.NewProbe(r.proc, []mem.Addr{base, end, end + mem.PageSize})
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%#x", end)) {
+		t.Errorf("NewProbe past the region: error %v, want one naming %#x", err, end)
+	}
+}
+
 // TestLoopSecretPivotExtraction mounts the full Loop Secret attack of
 // §4.2.2: alternate handle and pivot faults walk the victim loop one
 // iteration at a time; cache probing between replays recovers every
@@ -171,6 +217,10 @@ func TestLoopSecretPivotExtraction(t *testing.T) {
 	for i := range probeLines {
 		probeLines[i] = probeBase + mem.Addr(i)*64
 	}
+	probe, err := r.m.NewProbe(r.proc, probeLines)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	var got []int
 	rec := &Recipe{
@@ -186,19 +236,13 @@ func TestLoopSecretPivotExtraction(t *testing.T) {
 		if ev.Replays == 1 {
 			// First fault of this iteration: prime the probe array, then
 			// replay once so the transmit re-executes into a clean cache.
-			if err := r.m.PrimeAddrs(r.proc, probeLines); err != nil {
-				t.Fatal(err)
-			}
+			probe.FlushAll()
 			return Replay
 		}
 		// Second fault: the window re-executed the transmit. Probe.
-		res, err := r.m.ProbeAddrs(r.proc, probeLines)
-		if err != nil {
-			t.Fatal(err)
-		}
 		line := -1
-		for i, pr := range res {
-			if pr.Level != cache.LevelMem {
+		for i := range probe.Len() {
+			if probe.Level(i) != cache.LevelMem {
 				if line != -1 {
 					t.Fatalf("iteration %d: multiple probe lines hot (%d and %d)", len(got), line, i)
 				}

@@ -9,8 +9,9 @@ import (
 )
 
 // This file implements the attack operations of the paper's §5.2.2:
-// software page walks, page-structure flushing, TLB invalidation, monitor
-// signalling through shared memory, and cache priming/probing.
+// software page walks, page-structure flushing, TLB invalidation, cache
+// priming and probing (Probe), and monitor signalling through shared
+// memory.
 
 // SoftWalk locates the page-table entries required for the translation of
 // va by walking the victim's page tables in software (operation 1 of
@@ -109,40 +110,64 @@ func (m *Module) physOf(proc *kernel.Process, va mem.Addr) (mem.Addr, error) {
 	return e.PPN()<<mem.PageShift | mem.PageOffset(va), nil
 }
 
-// ProbeResult is one cache probe measurement.
-type ProbeResult struct {
-	VA      mem.Addr
-	Latency int
-	Level   cache.Level
+// Probe is the Replayer-as-Monitor's view of a fixed list of victim
+// cache lines (§4.1.3): it primes them before a replay and reads back
+// after it which level serves each one (operation 5 of §5.2.2, the
+// prime+probe of §4.1.4 step 5). NewProbe translates every line once,
+// so priming and probing between replays cannot fail and allocate
+// nothing.
+type Probe struct {
+	h   *cache.Hierarchy
+	pas []mem.Addr // physical address of each line, in the order given
 }
 
-// PrimeAddrs evicts each address to main memory (prime step before a
-// replay, §4.1.4 step 5 "re-prime the cache").
-func (m *Module) PrimeAddrs(proc *kernel.Process, addrs []mem.Addr) error {
-	for _, va := range addrs {
-		pa, err := m.physOf(proc, va)
-		if err != nil {
-			return err
+// NewProbe resolves the physical address of each victim address in vas.
+// Like FlushData it tolerates a cleared present bit; a line without a
+// translation fails with an error naming it.
+func (m *Module) NewProbe(proc *kernel.Process, vas []mem.Addr) (*Probe, error) {
+	p := &Probe{h: m.core.Hierarchy(), pas: make([]mem.Addr, len(vas))}
+	for i, va := range vas {
+		if i > 0 && mem.PageNum(va) == mem.PageNum(vas[i-1]) {
+			// Lines of one page share its frame.
+			p.pas[i] = mem.PageBase(p.pas[i-1]) | mem.PageOffset(va)
+			continue
 		}
-		m.core.Hierarchy().FlushAddr(pa)
-	}
-	return nil
-}
-
-// ProbeAddrs measures the cache level serving each address without
-// disturbing cache state — the Replayer-as-Monitor configuration of
-// §4.1.3 used by the AES attack.
-func (m *Module) ProbeAddrs(proc *kernel.Process, addrs []mem.Addr) ([]ProbeResult, error) {
-	out := make([]ProbeResult, 0, len(addrs))
-	for _, va := range addrs {
 		pa, err := m.physOf(proc, va)
 		if err != nil {
 			return nil, err
 		}
-		lat, lvl := m.core.Hierarchy().Probe(pa)
-		out = append(out, ProbeResult{VA: va, Latency: lat, Level: lvl})
+		p.pas[i] = pa
 	}
-	return out, nil
+	return p, nil
+}
+
+// Len returns the number of lines the probe watches.
+func (p *Probe) Len() int { return len(p.pas) }
+
+// Level reports the cache level that serves line i, without changing
+// any cache state.
+func (p *Probe) Level(i int) cache.Level { return p.h.LevelOf(p.pas[i]) }
+
+// Hot returns the lines among the first 64 that a cache level above
+// main memory holds: bit i is set when line i is cached.
+func (p *Probe) Hot() uint64 {
+	var hot uint64
+	for i, pa := range p.pas[:min(len(p.pas), 64)] {
+		if p.h.LevelOf(pa) != cache.LevelMem {
+			hot |= 1 << i
+		}
+	}
+	return hot
+}
+
+// Flush evicts line i from every cache level.
+func (p *Probe) Flush(i int) { p.h.FlushAddr(p.pas[i]) }
+
+// FlushAll evicts every line to main memory: the prime before a replay.
+func (p *Probe) FlushAll() {
+	for _, pa := range p.pas {
+		p.h.FlushAddr(pa)
+	}
 }
 
 // Monitor signalling (operation 4 of §5.2.2): the module communicates

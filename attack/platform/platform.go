@@ -92,9 +92,9 @@ func (r *Rig) Run(maxCycles uint64) error {
 // halt or the budget. It reports whether cond held and returns the
 // module's fault-handler failure (Module.Err): a failed handler halts
 // the faulting context, so a halted core alone does not mean the run
-// finished. An exhausted budget is not an error here; Run reports it,
-// and a caller that drives the core through several RunUntil calls
-// reports it with TimeoutErr.
+// finished. An exhausted budget is not an error here; Run and
+// RunReacting report it, and a caller that drives the core through
+// several RunUntil calls reports it with TimeoutErr.
 func (r *Rig) RunUntil(cond func() bool, maxCycles uint64) (bool, error) {
 	met := false
 	if cond == nil {
@@ -104,6 +104,32 @@ func (r *Rig) RunUntil(cond func() bool, maxCycles uint64) (bool, error) {
 		met = r.Core.RunUntil(cond, maxCycles)
 	}
 	return met, r.Module.Err()
+}
+
+// RunReacting runs the rig until every loaded context halts, calling
+// react each time event holds; react must make event false again. The
+// cycles fast-forward skips are no-ops, so react runs after the same
+// cycles as it would with the core stepped one cycle at a time.
+// maxCycles bounds the whole run. It returns the module's fault-handler
+// failure, react's error, or TimeoutErr.
+func (r *Rig) RunReacting(maxCycles uint64, event func() bool, react func() error) error {
+	end := r.Core.Cycle() + maxCycles
+	for {
+		met, err := r.RunUntil(event, end-r.Core.Cycle())
+		if err != nil {
+			return err
+		}
+		if !met {
+			break
+		}
+		if err := react(); err != nil {
+			return err
+		}
+	}
+	if !r.Core.Halted() {
+		return r.TimeoutErr(maxCycles)
+	}
+	return nil
 }
 
 // TimeoutErr is the error for a run that exceeded maxCycles before

@@ -31,7 +31,7 @@ type labOptions struct {
 
 // maxLines bounds -lines by the platform's physical memory counted in
 // 64-byte lines: a probe cannot watch more lines than exist, and run
-// builds one address per line before the first prime could fail.
+// builds one address per line before it can find one unmapped.
 const maxLines = victim.PlatformMemBytes / 64
 
 // parseLab parses and validates the arguments after `lab`.
@@ -115,6 +115,11 @@ func (o *labOptions) run(out io.Writer) error {
 	if err != nil {
 		return err
 	}
+	probe, err := rig.Module.NewProbe(rig.Victim, probeAddrs)
+	if err != nil {
+		// The lines run past the pages the script maps.
+		return usageError{fmt.Errorf("-lines %d: %w", o.lines, err)}
+	}
 	rec := &microscope.Recipe{
 		Name:       "lab",
 		Victim:     rig.Victim,
@@ -122,19 +127,14 @@ func (o *labOptions) run(out io.Writer) error {
 		Pivot:      pivot,
 		WalkLevels: o.walk,
 	}
-	var primeErr error
 	rec.OnReplay = func(ev microscope.Event) microscope.Decision {
 		kind := "handle"
 		if ev.OnPivot {
 			kind = "pivot"
 		}
-		hot := describeProbe(rig, probeAddrs)
 		fmt.Fprintf(out, "fault %2d (%-6s replay %2d, cycle %8d): hot lines %s\n",
-			ev.TotalFaults, kind, ev.Replays, ev.Cycle, hot)
-		if err := rig.Module.PrimeAddrs(rig.Victim, probeAddrs); err != nil {
-			primeErr = fmt.Errorf("prime: %w", err)
-			return microscope.Release
-		}
+			ev.TotalFaults, kind, ev.Replays, ev.Cycle, describeProbe(probe))
+		probe.FlushAll()
 		if ev.OnPivot {
 			return microscope.Pivot
 		}
@@ -153,9 +153,6 @@ func (o *labOptions) run(out io.Writer) error {
 	if err := rig.Run(100_000_000); err != nil {
 		return err
 	}
-	if primeErr != nil {
-		return primeErr
-	}
 
 	fmt.Fprintf(out, "\nvictim finished: %t; total faults: %d\n",
 		rig.Core.Context(0).Halted(), rec.TotalFaults())
@@ -163,18 +160,14 @@ func (o *labOptions) run(out io.Writer) error {
 	return nil
 }
 
-func describeProbe(rig *platform.Rig, addrs []mem.Addr) string {
-	if len(addrs) == 0 {
+func describeProbe(probe *microscope.Probe) string {
+	if probe.Len() == 0 {
 		return "(no probe)"
 	}
-	prs, err := rig.Module.ProbeAddrs(rig.Victim, addrs)
-	if err != nil {
-		return "error: " + err.Error()
-	}
 	var hot []string
-	for i, pr := range prs {
-		if pr.Level != cache.LevelMem {
-			hot = append(hot, fmt.Sprintf("%d(%s)", i, pr.Level))
+	for i := range probe.Len() {
+		if lvl := probe.Level(i); lvl != cache.LevelMem {
+			hot = append(hot, fmt.Sprintf("%d(%s)", i, lvl))
 		}
 	}
 	if len(hot) == 0 {

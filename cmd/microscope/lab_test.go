@@ -24,10 +24,17 @@ func TestLabUnknownSymbolIsUsageError(t *testing.T) {
 	}
 }
 
+// TestLabProbePastMappedPages: probe lines that run past the pages the
+// script maps are a usage error, found before the victim runs: the
+// example's probe region is one page, so line 64 (0x411000) is the
+// first unmapped one.
+func TestLabProbePastMappedPages(t *testing.T) {
+	checkUsageError(t, []string{"lab", "-script", exampleScript, "-probe", "probe", "-lines", "200"},
+		"-lines", "0x411000")
+}
+
 // TestLabRunFailures: a script that cannot be read or parsed, or a run
-// that fails, exits 1 with one stderr line naming the cause. A prime
-// that fails (the 200 probe lines run past the mapped probe region)
-// fails the run.
+// that fails, exits 1 with one stderr line naming the cause.
 func TestLabRunFailures(t *testing.T) {
 	dir := t.TempDir()
 	fallOff := filepath.Join(dir, "falloff.s")
@@ -41,7 +48,6 @@ func TestLabRunFailures(t *testing.T) {
 	}{
 		{[]string{"lab", "-script", filepath.Join(dir, "missing.s")}, "missing.s"},
 		{[]string{"lab", "-script", fallOff}, "control falls off the end"},
-		{[]string{"lab", "-script", exampleScript, "-probe", "probe", "-lines", "200"}, "prime: microscope: 0x411000 not mapped"},
 	} {
 		var out, errw bytes.Buffer
 		code := run(c.argv, &out, &errw)

@@ -63,11 +63,14 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 3. The attack recipe: replay on the handle, probe between replays.
-	line0, _ := proc.AddressSpace().Translate(probeVA)
-	line1, _ := proc.AddressSpace().Translate(probeVA + 64)
-	core.Hierarchy().FlushAddr(line0)
-	core.Hierarchy().FlushAddr(line1)
+	// 3. The attack recipe: replay on the handle, probe the two lines
+	//    the secret selects between replays, starting from a flushed
+	//    cache.
+	probe, err := rig.Module.NewProbe(proc, []mem.Addr{probeVA, probeVA + 64})
+	if err != nil {
+		log.Fatal(err)
+	}
+	probe.FlushAll()
 
 	recovered := -1
 	rec := &microscope.Recipe{
@@ -76,8 +79,8 @@ func main() {
 		Handle: handleVA,
 	}
 	rec.OnReplay = func(ev microscope.Event) microscope.Decision {
-		hot0 := core.Hierarchy().LevelOf(line0) != cache.LevelMem
-		hot1 := core.Hierarchy().LevelOf(line1) != cache.LevelMem
+		hot0 := probe.Level(0) != cache.LevelMem
+		hot1 := probe.Level(1) != cache.LevelMem
 		fmt.Printf("replay %d: line0 hot=%t line1 hot=%t\n", ev.Replays, hot0, hot1)
 		switch {
 		case hot0 && !hot1:
