@@ -17,6 +17,7 @@ import (
 	"microscope/attack/microscope"
 	"microscope/attack/platform"
 	"microscope/attack/victim"
+	"microscope/sim/mem"
 	"microscope/sim/sanitizer"
 )
 
@@ -146,17 +147,33 @@ func RunSpecSan(t SanTarget, cfg SpecSanConfig) (*SpecSanResult, error) {
 	return RunSpecSanLayout(t.Name, lay, t.Handle, cfg)
 }
 
+// maxSecretPages bounds the secret pages SpecSan seeds. Its shadow
+// memory takes 8 bytes per secret byte, so 2,048 pages of secrets take
+// as much host memory as the platform's whole physical memory.
+const maxSecretPages = victim.PlatformMemBytes / mem.PageSize / 8
+
 // AttachSanitizer creates a SpecSan shadow engine with cfg, seeds it
 // from the same taint-source declaration the static scanner consumes
 // (the layout's secret-home registers in context 0 and the bytes of
 // every secret region, which the rig must have installed) and attaches
-// it to the rig's core.
+// it to the rig's core. Secret regions spanning more than
+// maxSecretPages pages in all are an error naming the region that
+// crosses the bound, returned before anything is seeded.
 func AttachSanitizer(rig *platform.Rig, lay *victim.Layout, cfg sanitizer.Config) (*sanitizer.Sanitizer, error) {
+	mems := lay.SecretMems()
+	pages := uint64(0)
+	for i, rng := range mems {
+		pages += (rng[1] - mem.PageBase(rng[0]) + mem.PageSize - 1) / mem.PageSize
+		if pages > maxSecretPages {
+			return nil, fmt.Errorf("experiments: seeding %q: secrets span %d pages, more than the %d whose shadow (8 bytes per byte) fits in the platform's %d MB of physical memory",
+				lay.SecretRegions[i], pages, maxSecretPages, victim.PlatformMemBytes>>20)
+		}
+	}
 	san := sanitizer.New(rig.Core, cfg)
 	for _, r := range lay.SecretRegs {
 		san.SeedReg(0, r, r.String())
 	}
-	for i, rng := range lay.SecretMems() {
+	for i, rng := range mems {
 		name := lay.SecretRegions[i]
 		if err := san.SeedMemory(rig.Victim.AddressSpace(), rng[0], rng[1], name); err != nil {
 			return nil, fmt.Errorf("experiments: seeding %q: %w", name, err)

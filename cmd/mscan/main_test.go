@@ -298,6 +298,33 @@ func TestRejectsScriptBeyondMemory(t *testing.T) {
 	}
 }
 
+// SpecSan shadows each secret byte with 8 bytes of host memory, so
+// -sanitize refuses secrets spanning more than 2,048 pages, as much
+// shadow as the platform has physical memory, before the run. The scan
+// and -prove still accept the script.
+func TestSanitizeRefusesSecretsBeyondShadow(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bigsecret.s")
+	src := ";; region handle 0x400000 rw\n;; region key 0x1000000 rw 2049\n;; secret key\n" +
+		"movi r1, 0x400000\nld r2, 0(r1)\nhalt\n"
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	code, err := runArgs(t, &buf, "-script", path, "-sanitize")
+	if code != exitUsage || err == nil || !strings.Contains(err.Error(), `seeding "key": secrets span 2049 pages, more than the 2048`) {
+		t.Errorf("-sanitize: code %d, err %v; want %d and an error naming the region and the bound", code, err, exitUsage)
+	}
+	if buf.Len() != 0 {
+		t.Errorf("-sanitize wrote output before refusing the secrets:\n%s", buf.String())
+	}
+	for _, mode := range [][]string{nil, {"-prove"}} {
+		args := append([]string{"-script", path}, mode...)
+		if code, err := runArgs(t, io.Discard, args...); err != nil || code != exitOK {
+			t.Errorf("%q: code %d, err %v; want %d", args, code, err, exitOK)
+		}
+	}
+}
+
 // exampleScript is the victim script `microscope lab`'s example runs: a
 // replay handle at pc 4, then a probe-line load at pc 7 whose address
 // the declared secret region selects.
