@@ -114,8 +114,7 @@ func (m *Module) physOf(proc *kernel.Process, va mem.Addr) (mem.Addr, error) {
 // cache lines (§4.1.3): it primes them before a replay and reads back
 // after it which level serves each one (operation 5 of §5.2.2, the
 // prime+probe of §4.1.4 step 5). NewProbe translates every line once,
-// so priming and probing between replays cannot fail and allocate
-// nothing.
+// so priming and probing between replays neither fail nor allocate.
 type Probe struct {
 	h   *cache.Hierarchy
 	pas []mem.Addr // physical address of each line, in the order given
